@@ -958,6 +958,74 @@ let field_exp () =
   bench_backend "limb26" (module Zkdet_field.Bn254.Fp_limb26)
 
 (* ---------------------------------------------------------------- *)
+(* Pairing: Miller loop, final exponentiation and pairing checks      *)
+(* ---------------------------------------------------------------- *)
+
+(* Each kernel with its G2 points prepared in advance (what a verifier
+   with a cached key pays) and unprepared (preparation included).  Next
+   to the time, the Fp12 operation counts per call, read from the
+   counters the pairing bumps once per call; they are integers, so the
+   regression gate pins them exactly.  Timings take the best of three
+   runs of [iters] calls. *)
+let pairing_exp () =
+  header "Pairing: optimal ate over prepared G2 lines";
+  let module G2 = Zkdet_curve.G2 in
+  let module Prep = Pairing.G2_prepared in
+  let st = Random.State.make [| 0x9a1e |] in
+  let p = G1.random st and q = G2.random st in
+  let a = Fr.random st in
+  let pa = G1.mul p a and qa = G2.mul q a in
+  (* e(aP, Q) e(-P, aQ) = 1, twice over for the 4-pair check. *)
+  let pairs2 = [ (pa, q); (G1.neg p, qa) ] in
+  let pairs4 = pairs2 @ [ (G1.neg pa, q); (p, qa) ] in
+  let prep pairs = List.map (fun (p, q) -> (p, Prep.of_g2 q)) pairs in
+  let pairs2_prep = prep pairs2 and pairs4_prep = prep pairs4 in
+  let q_prep = Prep.of_g2 q in
+  let f = Pairing.miller_loop p q in
+  let counters =
+    [ ("fp12_mul", "pairing.fp12_mul"); ("fp12_sqr", "pairing.fp12_sqr");
+      ("fp12_sparse_mul", "pairing.fp12_sparse_mul");
+      ("fp12_cyclotomic_sqr", "pairing.fp12_cyclotomic_sqr") ]
+  in
+  let read () =
+    let snap = Telemetry.snapshot () in
+    List.map
+      (fun (_, c) -> Option.value ~default:0 (Telemetry.Report.find_counter snap c))
+      counters
+  in
+  Printf.printf "%-14s %9s %12s %12s %12s %12s %12s\n" "kernel" "prepared"
+    "time (us)" "fp12 mul" "fp12 sqr" "sparse mul" "cyclo sqr";
+  let row name prepared iters body =
+    let before = read () in
+    body ();
+    let per_call = List.map2 (fun b a -> a - b) before (read ()) in
+    let best =
+      List.fold_left
+        (fun b _ ->
+          let (), t = wall (fun () -> for _ = 1 to iters do body () done) in
+          Float.min b t)
+        infinity [ 1; 2; 3 ]
+    in
+    let us = 1e6 *. best /. float_of_int iters in
+    emit_row
+      ([ jstr "kernel" name; jbool "prepared" prepared; jfloat "time_us" us ]
+      @ List.map2 (fun (k, _) n -> jint (k ^ "_per_call") n) counters per_call);
+    Printf.printf "%-14s %9b %12.0f%s\n%!" name prepared us
+      (String.concat "" (List.map (Printf.sprintf " %12d") per_call))
+  in
+  row "prepare_g2" false 20 (fun () -> ignore (Prep.of_g2 q));
+  row "miller_loop" true 20 (fun () ->
+      ignore (Pairing.multi_miller_loop [ (p, q_prep) ]));
+  row "miller_loop" false 20 (fun () -> ignore (Pairing.miller_loop p q));
+  row "final_exp" false 20 (fun () -> ignore (Pairing.final_exponentiation f));
+  row "check2" true 10 (fun () ->
+      assert (Pairing.pairing_check_prepared pairs2_prep));
+  row "check2" false 10 (fun () -> assert (Pairing.pairing_check pairs2));
+  row "check4" true 10 (fun () ->
+      assert (Pairing.pairing_check_prepared pairs4_prep));
+  row "check4" false 10 (fun () -> assert (Pairing.pairing_check pairs4))
+
+(* ---------------------------------------------------------------- *)
 (* Perf-regression gating against committed baselines                 *)
 (* ---------------------------------------------------------------- *)
 
@@ -1247,7 +1315,7 @@ let () =
         List.mem a
           [ "setup"; "fig5"; "fig6"; "fig7"; "fairswap"; "table1"; "table2";
             "micro"; "parallel"; "proptest"; "codec"; "proving"; "verify";
-            "msm"; "field"; "load"; "all" ])
+            "msm"; "field"; "load"; "pairing"; "all" ])
       args
   in
   let which = if which = [] then [ "all" ] else which in
@@ -1305,6 +1373,7 @@ let () =
   if run || List.mem "verify" which then run_experiment "verify" verify_exp;
   if run || List.mem "msm" which then run_experiment "msm" msm_exp;
   if run || List.mem "field" which then run_experiment "field" field_exp;
+  if run || List.mem "pairing" which then run_experiment "pairing" pairing_exp;
   if run || List.mem "load" which then run_experiment "load" (load_exp ~scale);
   if run || List.mem "micro" which then run_experiment "micro" micro;
   Telemetry.maybe_write_trace ();

@@ -21,6 +21,16 @@ let create ?(log2_max_gates = 12) ?(seed = [| 0xd47a |]) () =
   let srs = Srs.unsafe_generate ~st:rng ~size:((1 lsl log2_max_gates) + 8) () in
   { srs; pk_cache = Hashtbl.create 16; rng }
 
+(** [sized_for builds] runs the universal setup at the smallest size that
+    preprocesses every circuit the [builds] synthesize (each is compiled
+    once here to count its gates). *)
+let sized_for ?seed (builds : (unit -> Cs.t) list) =
+  let gates =
+    List.fold_left (fun m build -> max m (Cs.num_gates (Cs.compile (build ())))) 0 builds
+  in
+  let rec log2_ceil l = if 1 lsl l >= gates then l else log2_ceil (l + 1) in
+  create ~log2_max_gates:(log2_ceil 1) ?seed ()
+
 (** [proving_key env ~descriptor ~build] returns the cached proving key
     for the circuit family identified by [descriptor], running [build]
     (with representative dummy inputs) and preprocessing on a miss. *)

@@ -17,6 +17,10 @@ val create : ?log2_max_gates:int -> ?seed:int array -> unit -> t
 (** Run the (simulated) universal setup for circuits of up to
     [2^log2_max_gates] constraints (default 2^12). *)
 
+val sized_for : ?seed:int array -> (unit -> Cs.t) list -> t
+(** {!create} at the smallest size whose SRS preprocesses every circuit
+    the given builders synthesize. *)
+
 val proving_key :
   t -> descriptor:string -> build:(unit -> Cs.t) -> Preprocess.proving_key
 (** Cached proving key for the circuit family named by [descriptor];

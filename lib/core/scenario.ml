@@ -124,8 +124,9 @@ let step ?(detail = []) name =
     [cfg.prom]. *)
 let run_cfg (cfg : Config.t) : outcome =
   let seed = cfg.Config.seed and n = cfg.Config.n and price = cfg.Config.price in
+  let predicate = Circuits.Trivial in
   with_sinks cfg @@ fun () ->
-  let env = Env.create ~log2_max_gates:12 ~seed:[| seed |] () in
+  let env = Env.sized_for ~seed:[| seed |] [ Zkcp.dummy ~n ~predicate ] in
   let chain = Chain.create () in
   let net = Storage.create () in
   let seller = Chain.Address.of_seed (Printf.sprintf "seller/%d" seed) in
@@ -135,7 +136,6 @@ let run_cfg (cfg : Config.t) : outcome =
   let seller_node = Storage.add_node net ~id:"seller-node" in
   let buyer_node = Storage.add_node net ~id:"buyer-node" in
   let data = Array.init n (fun i -> Fr.of_int ((seed * 1_000) + i)) in
-  let predicate = Circuits.Trivial in
   Obs.with_trace "zkcp-exchange" @@ fun () ->
   (* Seller: seal the dataset and advertise the offer. *)
   let sealed = Transform.seal ~st:env.Env.rng data in
@@ -232,7 +232,10 @@ let run_batch_cfg (cfg : Config.t) : batch_outcome =
   and n = cfg.Config.n
   and price = cfg.Config.price in
   with_sinks cfg @@ fun () ->
-  let env = Env.create ~log2_max_gates:13 ~seed:[| seed; 1 |] () in
+  let env =
+    Env.sized_for ~seed:[| seed; 1 |]
+      [ Circuits.validation_dummy ~n ~predicate:Circuits.Trivial; Circuits.key_dummy ]
+  in
   let chain = Chain.create () in
   let seller = Chain.Address.of_seed (Printf.sprintf "batch-seller/%d" seed) in
   Chain.faucet chain seller 100_000_000;

@@ -37,7 +37,31 @@ let mul a b =
   let c2 = Fp2.add (Fp2.sub (Fp2.sub t2 v0) v2) v1 in
   { c0; c1; c2 }
 
-let sqr a = mul a a
+(* Chung-Hasan SQR2: 2 Fp2 multiplications and 3 squarings instead of the
+   6 multiplications of [mul a a]. *)
+let sqr a =
+  let s0 = Fp2.sqr a.c0 in
+  let s1 = Fp2.double (Fp2.mul a.c0 a.c1) in
+  let s2 = Fp2.sqr (Fp2.add (Fp2.sub a.c0 a.c1) a.c2) in
+  let s3 = Fp2.double (Fp2.mul a.c1 a.c2) in
+  let s4 = Fp2.sqr a.c2 in
+  {
+    c0 = Fp2.add s0 (Fp2.mul_by_xi s3);
+    c1 = Fp2.add s1 (Fp2.mul_by_xi s4);
+    c2 = Fp2.sub (Fp2.add (Fp2.add s1 s2) s3) (Fp2.add s0 s4);
+  }
+
+(* Multiplication by the sparse element b0 + b1 v (5 Fp2 multiplications):
+   the shape of the line functions' w-coefficient in the Miller loop. *)
+let mul_by_01 a (b0 : Fp2.t) (b1 : Fp2.t) =
+  let v0 = Fp2.mul a.c0 b0 in
+  let v1 = Fp2.mul a.c1 b1 in
+  let c0 =
+    Fp2.add v0 (Fp2.mul_by_xi (Fp2.sub (Fp2.mul (Fp2.add a.c1 a.c2) b1) v1))
+  in
+  let c1 = Fp2.sub (Fp2.sub (Fp2.mul (Fp2.add b0 b1) (Fp2.add a.c0 a.c1)) v0) v1 in
+  let c2 = Fp2.add (Fp2.sub (Fp2.mul (Fp2.add a.c0 a.c2) b0) v0) v1 in
+  { c0; c1; c2 }
 
 (* Multiplication by v: (c0 + c1 v + c2 v^2) v = xi c2 + c0 v + c1 v^2. *)
 let mul_by_v a = { c0 = Fp2.mul_by_xi a.c2; c1 = a.c0; c2 = a.c1 }

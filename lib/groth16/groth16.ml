@@ -16,7 +16,6 @@ module Fr = Zkdet_field.Bn254.Fr
 module G1 = Zkdet_curve.G1
 module G2 = Zkdet_curve.G2
 module Pairing = Zkdet_curve.Pairing
-module Fp12 = Zkdet_curve.Fp12
 module Domain = Zkdet_poly.Domain
 module Poly = Zkdet_poly.Poly
 module Cs = Zkdet_plonk.Cs
@@ -375,21 +374,30 @@ let verify (vk : verification_key) (publics : Fr.t array) (proof : proof) : bool
 (* ---- prepared verification: vk preprocessing hoisted out of verify ---- *)
 
 (** A verification key with its per-verify preprocessing hoisted out, for
-    reuse across a batch: [e(alpha, beta)] is fixed per key, so caching it
-    turns the 4-factor pairing product of {!verify} into 3 Miller loops
-    plus one Gt comparison.  The canonical vk bytes are cached too — the
-    batch transcript absorbs them once per item. *)
+    reuse across a batch: [e(alpha, beta)] and the Miller-loop lines of
+    beta, gamma and delta are fixed per key, so caching them turns the
+    4-factor pairing product of {!verify} into one 3-pair multi-Miller
+    loop (only B is prepared per proof) plus one Gt comparison.  The
+    canonical vk bytes are cached too — the batch transcript absorbs them
+    once per item. *)
 type prepared_vk = {
   p_vk : verification_key;
   p_vk_bytes : string;
   p_e_alpha_beta : Pairing.Gt.t;
+  p_gamma_lines : Pairing.G2_prepared.t;
+  p_delta_lines : Pairing.G2_prepared.t;
 }
 
 let prepare_vk (vk : verification_key) : prepared_vk =
+  let beta = Pairing.G2_prepared.of_g2 vk.vk_beta_g2 in
   {
     p_vk = vk;
     p_vk_bytes = vk_to_bytes vk;
-    p_e_alpha_beta = Pairing.pairing vk.vk_alpha_g1 vk.vk_beta_g2;
+    p_e_alpha_beta =
+      Pairing.final_exponentiation
+        (Pairing.multi_miller_loop [ (vk.vk_alpha_g1, beta) ]);
+    p_gamma_lines = Pairing.G2_prepared.of_g2 vk.vk_gamma_g2;
+    p_delta_lines = Pairing.G2_prepared.of_g2 vk.vk_delta_g2;
   }
 
 (* IC(x) = IC_0 + sum_i publics_i IC_{i+1}; None on a statement-arity
@@ -408,16 +416,15 @@ let verify_prepared (pvk : prepared_vk) (publics : Fr.t array) (proof : proof) :
     match ic_of_publics vk publics with
     | None -> false
     | Some ic ->
-      (* e(A, B) e(-IC, gamma) e(-C, delta) = e(alpha, beta): one shared
-         final exponentiation over 3 Miller loops, compared against the
+      (* e(A, B) e(-IC, gamma) e(-C, delta) = e(alpha, beta): one
+         multi-Miller loop and final exponentiation, compared against the
          precomputed factor. *)
       let f =
         Pairing.final_exponentiation
-          (Fp12.mul
-             (Pairing.miller_loop proof.pi_a proof.pi_b)
-             (Fp12.mul
-                (Pairing.miller_loop (G1.neg ic) vk.vk_gamma_g2)
-                (Pairing.miller_loop (G1.neg proof.pi_c) vk.vk_delta_g2)))
+          (Pairing.multi_miller_loop
+             [ (proof.pi_a, Pairing.G2_prepared.of_g2 proof.pi_b);
+               (G1.neg ic, pvk.p_gamma_lines);
+               (G1.neg proof.pi_c, pvk.p_delta_lines) ])
       in
       Pairing.Gt.equal f pvk.p_e_alpha_beta
   in
@@ -445,11 +452,12 @@ let batch_scalars (items : (verification_key * Fr.t array * proof) list) :
          (vk_bytes vk, publics, proof_to_bytes proof))
        items)
 
-(* Per-distinct-vk fold accumulators (mixed-circuit batches). *)
+(* Per-distinct-vk fold accumulators (mixed-circuit batches): the rho_i
+   and the points they scale, folded by one MSM each at the end. *)
 type batch_acc = {
-  mutable sum_rho : Fr.t;
-  mutable sum_ic : G1.t; (* sum_i rho_i IC_i(publics_i) *)
-  mutable sum_c : G1.t; (* sum_i rho_i C_i *)
+  mutable rhos : Fr.t list;
+  mutable ics : G1.t list; (* IC_i(publics_i) *)
+  mutable cs : G1.t list; (* C_i *)
 }
 
 (** RLC batch verification: fold the per-proof equations
@@ -463,8 +471,9 @@ type batch_acc = {
                 e(-(sum rho_i C_i), delta)  =  1
 
     — one multi-pairing of N + 3·#distinct-vks factors (N+3 for a
-    settlement block under one key) instead of 4N, with N cheap G1
-    scalar multiplications for the folds.  Per-proof scalars are what
+    settlement block under one key) instead of 4N, with N G1 scalar
+    multiplications (rho_i A_i) and two MSMs per key for the folds.
+    Per-proof scalars are what
     makes this sound: with a single shared scalar a forger could cancel
     one bad equation against another; with independent transcript-derived
     scalars a batch containing any invalid proof survives with
@@ -492,7 +501,7 @@ let verify_batch (items : (verification_key * Fr.t array * proof) list) : bool =
       match List.assq_opt vk !groups with
       | Some acc -> acc
       | None ->
-        let acc = { sum_rho = Fr.zero; sum_ic = G1.zero; sum_c = G1.zero } in
+        let acc = { rhos = []; ics = []; cs = [] } in
         groups := (vk, acc) :: !groups;
         acc
     in
@@ -504,9 +513,9 @@ let verify_batch (items : (verification_key * Fr.t array * proof) list) : bool =
           | None -> false
           | Some ic ->
             let acc = acc_for vk in
-            acc.sum_rho <- Fr.add acc.sum_rho rho;
-            acc.sum_ic <- G1.add acc.sum_ic (G1.mul ic rho);
-            acc.sum_c <- G1.add acc.sum_c (G1.mul proof.pi_c rho);
+            acc.rhos <- rho :: acc.rhos;
+            acc.ics <- ic :: acc.ics;
+            acc.cs <- proof.pi_c :: acc.cs;
             pairs := (G1.mul proof.pi_a rho, proof.pi_b) :: !pairs;
             true)
         items rhos
@@ -517,10 +526,12 @@ let verify_batch (items : (verification_key * Fr.t array * proof) list) : bool =
            (List.rev_append !pairs
               (List.concat_map
                  (fun (vk, acc) ->
-                   [ ( G1.neg (G1.mul vk.vk_alpha_g1 acc.sum_rho),
-                       vk.vk_beta_g2 );
-                     (G1.neg acc.sum_ic, vk.vk_gamma_g2);
-                     (G1.neg acc.sum_c, vk.vk_delta_g2) ])
+                   let rhos = Array.of_list acc.rhos in
+                   let fold points = G1.msm (Array.of_list points) rhos in
+                   let sum_rho = Array.fold_left Fr.add Fr.zero rhos in
+                   [ (G1.neg (G1.mul vk.vk_alpha_g1 sum_rho), vk.vk_beta_g2);
+                     (G1.neg (fold acc.ics), vk.vk_gamma_g2);
+                     (G1.neg (fold acc.cs), vk.vk_delta_g2) ])
                  !groups))
     in
     if Zkdet_obs.Obs.is_enabled () then

@@ -92,9 +92,10 @@ val verify : verification_key -> Fr.t array -> proof -> bool
 
 type prepared_vk
 (** A verification key with its per-verify pairing precomputation hoisted
-    out: [e(alpha, beta)] is fixed per key, so {!verify_prepared} runs 3
-    Miller loops instead of 4.  The canonical vk bytes are cached too for
-    the batch transcript. *)
+    out: [e(alpha, beta)] and the Miller-loop lines of beta, gamma and
+    delta are fixed per key, so {!verify_prepared} runs one 3-pair
+    multi-Miller loop with only B prepared per proof.  The canonical vk
+    bytes are cached too for the batch transcript. *)
 
 val prepare_vk : verification_key -> prepared_vk
 val verify_prepared : prepared_vk -> Fr.t array -> proof -> bool

@@ -88,13 +88,15 @@ let verify_link ~(prev_g1_tau : G1.t) (entry : transcript_entry) : bool =
   let p = entry.proof in
   (* 1. Contributor knows s. *)
   schnorr_verify p.s_g1 p.schnorr_commit p.schnorr_response
+  &&
+  let g2 = Pairing.G2_prepared.of_g2 G2.generator in
+  let s_g2 = Pairing.G2_prepared.of_g2 p.s_g2 in
   (* 2. s is the same in G1 and G2: e([s]G1, G2) = e(G1, [s]G2). *)
-  && Pairing.pairing_check
-       [ (p.s_g1, G2.generator); (G1.neg G1.generator, p.s_g2) ]
+  Pairing.pairing_check_prepared [ (p.s_g1, g2); (G1.neg G1.generator, s_g2) ]
   (* 3. New tau point extends the old one by s:
         e(new_tau_g1, G2) = e(old_tau_g1, [s]G2). *)
-  && Pairing.pairing_check
-       [ (entry.g1_tau_after, G2.generator); (G1.neg prev_g1_tau, p.s_g2) ]
+  && Pairing.pairing_check_prepared
+       [ (entry.g1_tau_after, g2); (G1.neg prev_g1_tau, s_g2) ]
 
 (** Verify the whole transcript plus the final SRS's internal consistency. *)
 let verify_transcript state : bool =

@@ -90,26 +90,34 @@ let open_batch (srs : Srs.t) (ps : Poly.t list) (z : Fr.t) (gamma : Fr.t) :
     A batch containing an invalid opening passes with probability 1/|Fr|
     over the choice of scalars, so callers must derive [rhos] from a
     Fiat-Shamir transcript over the openings (see
-    [Transcript.batch_challenges] upstream).  [g2]/[g2_tau] are taken
-    explicitly rather than as an [Srs.t] so verifiers holding only a
-    verification key's G2 points can fold. *)
-let verify_batch_openings ~(g2 : G2.t) ~(g2_tau : G2.t)
+    [Transcript.batch_challenges] upstream).  [g2]/[g2_tau] are the
+    prepared lines of the two G2 points, taken explicitly rather than as
+    an [Srs.t] so verifiers holding only a verification key (which caches
+    them) can fold. *)
+let verify_batch_openings ~(g2 : Pairing.G2_prepared.t)
+    ~(g2_tau : Pairing.G2_prepared.t)
     (items : (commitment * Fr.t * Fr.t * opening_proof) list)
     ~(rhos : Fr.t list) : bool =
   if List.length items <> List.length rhos then
     invalid_arg "Kzg.verify_batch_openings: one scalar per opening required";
   Telemetry.count "kzg.batch_verifies" 1;
   Telemetry.count "kzg.batched_openings" (List.length items);
-  let lhs, w_sum =
-    List.fold_left2
-      (fun (lhs, w_sum) (c, z, y, w) rho ->
-        let term =
-          G1.add (G1.sub_point c (G1.mul G1.generator y)) (G1.mul w z)
-        in
-        (G1.add lhs (G1.mul term rho), G1.add w_sum (G1.mul w rho)))
-      (G1.zero, G1.zero) items rhos
+  (* Both sides as MSMs: sum rho_i C_i + sum (rho_i z_i) W_i
+     - (sum rho_i y_i) G, and sum rho_i W_i. *)
+  let items = Array.of_list items and rhos = Array.of_list rhos in
+  let cs = Array.map (fun (c, _, _, _) -> c) items in
+  let ws = Array.map (fun (_, _, _, w) -> w) items in
+  let rho_z = Array.map2 (fun (_, z, _, _) rho -> Fr.mul rho z) items rhos in
+  let rho_y =
+    Array.fold_left Fr.add Fr.zero (Array.map2 (fun (_, _, y, _) rho -> Fr.mul rho y) items rhos)
   in
-  Pairing.pairing_check [ (lhs, g2); (G1.neg w_sum, g2_tau) ]
+  let lhs =
+    G1.msm
+      (Array.concat [ cs; ws; [| G1.generator |] ])
+      (Array.concat [ rhos; rho_z; [| Fr.neg rho_y |] ])
+  in
+  let w_sum = G1.msm ws rhos in
+  Pairing.pairing_check_prepared [ (lhs, g2); (G1.neg w_sum, g2_tau) ]
 
 let verify_batch (srs : Srs.t) (cs : commitment list) ~(z : Fr.t)
     ~(ys : Fr.t list) (gamma : Fr.t) (proof : opening_proof) : bool =

@@ -87,9 +87,11 @@ let unsafe_generate ?(st = Random.State.make_self_init ()) ~size () =
     sampled indices (spot check) or all of them ([exhaustive]). *)
 let verify ?(exhaustive = false) t =
   let n = size t in
+  let module Prep = Zkdet_curve.Pairing.G2_prepared in
+  let g2 = Prep.of_g2 t.g2 and g2_tau = Prep.of_g2 t.g2_tau in
   let check i =
-    Zkdet_curve.Pairing.pairing_check
-      [ (t.g1_powers.(i + 1), t.g2); (G1.neg t.g1_powers.(i), t.g2_tau) ]
+    Zkdet_curve.Pairing.pairing_check_prepared
+      [ (t.g1_powers.(i + 1), g2); (G1.neg t.g1_powers.(i), g2_tau) ]
   in
   let ok_first = G1.equal t.g1_powers.(0) G1.generator in
   let indices =

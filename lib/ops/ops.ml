@@ -148,8 +148,11 @@ let write_response fd (r : response) =
       off := !off + Unix.write fd b !off (n - !off)
     done
   in
-  write_all head;
-  write_all r.body
+  (* A client that hung up before reading its answer is simply gone. *)
+  try
+    write_all head;
+    write_all r.body
+  with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> ()
 
 (* ---- built-in routes ---- *)
 
@@ -227,6 +230,11 @@ let accept_loop t handler =
   done
 
 let start ?(host = "127.0.0.1") ~port handler =
+  (* Writing to a socket its peer already closed raises SIGPIPE, whose
+     default action kills the whole process; with the signal ignored the
+     write fails with EPIPE instead, which [write_response] absorbs.
+     (Invalid_argument: the platform has no SIGPIPE.) *)
+  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   (try
      Unix.setsockopt sock Unix.SO_REUSEADDR true;

@@ -55,8 +55,8 @@ let prove ?st (pk : proving_key) (compiled : Cs.compiled) : proof =
 let verify (vk : verification_key) (publics : Fr.t array) (proof : proof) : bool =
   Verifier.verify vk publics proof
 
-(* Plonk's verifier is already input-independent — there is no per-verify
-   pairing precomputation to hoist — so preparing a vk caches only its
+(* Plonk's verifier is already input-independent and the key itself
+   carries its prepared G2 lines, so preparing a vk caches only its
    canonical serialization, which the batch transcript absorbs per item. *)
 type prepared_vk = { p_vk : verification_key; p_vk_bytes : string }
 

@@ -9,6 +9,7 @@ module Poly = Zkdet_poly.Poly
 module Domain = Zkdet_poly.Domain
 module Srs = Zkdet_kzg.Srs
 module Kzg = Zkdet_kzg.Kzg
+module G2_prepared = Zkdet_curve.Pairing.G2_prepared
 module Telemetry = Zkdet_telemetry.Telemetry
 
 type proving_key = {
@@ -56,6 +57,8 @@ and verification_key = {
   cm_sigma3 : G1.t;
   vk_g2 : Zkdet_curve.G2.t;
   vk_g2_tau : Zkdet_curve.G2.t;
+  vk_g2_lines : G2_prepared.t;
+  vk_g2_tau_lines : G2_prepared.t;
 }
 
 (* Canonical wire format for verification keys: "ZKVK" envelope around
@@ -83,7 +86,9 @@ let vk_codec : verification_key Zkdet_codec.Codec.t =
                Ok
                  { vk_n; vk_n_public; vk_domain = Domain.create log2n; vk_k1;
                    vk_k2; cm_ql; cm_qr; cm_qo; cm_qm; cm_qc; cm_sigma1;
-                   cm_sigma2; cm_sigma3; vk_g2; vk_g2_tau }
+                   cm_sigma2; cm_sigma3; vk_g2; vk_g2_tau;
+                   vk_g2_lines = G2_prepared.of_g2 vk_g2;
+                   vk_g2_tau_lines = G2_prepared.of_g2 vk_g2_tau }
              | _ -> Error "wrong arity")
        (triple
           (triple u8 u32 (pair Fr.codec Fr.codec))
@@ -211,6 +216,8 @@ let setup (srs : Srs.t) (circuit : Cs.compiled) : proving_key =
       cm_sigma3 = commit sigma3;
       vk_g2 = srs.Srs.g2;
       vk_g2_tau = srs.Srs.g2_tau;
+      vk_g2_lines = G2_prepared.of_g2 srs.Srs.g2;
+      vk_g2_tau_lines = G2_prepared.of_g2 srs.Srs.g2_tau;
     }
   in
   let l1_poly =

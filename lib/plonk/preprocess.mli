@@ -50,6 +50,10 @@ and verification_key = {
   cm_sigma3 : G1.t;
   vk_g2 : Zkdet_curve.G2.t;
   vk_g2_tau : Zkdet_curve.G2.t;
+  vk_g2_lines : Zkdet_curve.Pairing.G2_prepared.t;
+  vk_g2_tau_lines : Zkdet_curve.Pairing.G2_prepared.t;
+      (** Miller-loop lines of [vk_g2] and [vk_g2_tau], prepared when the
+          key is built or decoded; never serialized. *)
 }
 
 val vk_codec : verification_key Zkdet_codec.Codec.t

@@ -97,62 +97,43 @@ let prepare (vk : Preprocess.verification_key) (publics : Fr.t array)
                 (Fr.mul beta eval_z_omega)))
       in
       let zeta_n = Fr.pow zeta n in
-      let zeta_2n = Fr.sqr zeta_n in
-      (* [D]: polynomial part of the linearization commitment. *)
-      let d =
-        List.fold_left G1.add G1.zero
-          [ G1.mul vk.Preprocess.cm_qm (Fr.mul eval_a eval_b);
-            G1.mul vk.Preprocess.cm_ql eval_a;
-            G1.mul vk.Preprocess.cm_qr eval_b;
-            G1.mul vk.Preprocess.cm_qo eval_c;
-            vk.Preprocess.cm_qc;
-            G1.mul proof.Proof.cm_z perm_z_coeff;
-            G1.mul vk.Preprocess.cm_sigma3 perm_s3_coeff;
-            G1.neg
-              (G1.mul
-                 (List.fold_left G1.add G1.zero
-                    [ proof.Proof.cm_t_lo;
-                      G1.mul proof.Proof.cm_t_mid zeta_n;
-                      G1.mul proof.Proof.cm_t_hi zeta_2n ])
-                 zh_zeta) ]
-      in
-      (* [F] = [D] + v[a] + v^2[b] + v^3[c] + v^4[s1] + v^5[s2] + u[z] *)
-      let powers_v =
-        let v2 = Fr.mul v v in
-        let v3 = Fr.mul v2 v in
-        let v4 = Fr.mul v3 v in
-        let v5 = Fr.mul v4 v in
-        (v, v2, v3, v4, v5)
-      in
-      let v1, v2, v3, v4, v5 = powers_v in
-      let f =
-        List.fold_left G1.add d
-          [ G1.mul proof.Proof.cm_a v1;
-            G1.mul proof.Proof.cm_b v2;
-            G1.mul proof.Proof.cm_c v3;
-            G1.mul vk.Preprocess.cm_sigma1 v4;
-            G1.mul vk.Preprocess.cm_sigma2 v5;
-            G1.mul proof.Proof.cm_z u ]
-      in
+      let v1 = v in
+      let v2 = Fr.mul v1 v in
+      let v3 = Fr.mul v2 v in
+      let v4 = Fr.mul v3 v in
+      let v5 = Fr.mul v4 v in
       (* [E] = (-r_const + v a + v^2 b + v^3 c + v^4 s1 + v^5 s2 + u z_w) [1] *)
       let e_scalar =
         List.fold_left Fr.add (Fr.neg r_const)
           [ Fr.mul v1 eval_a; Fr.mul v2 eval_b; Fr.mul v3 eval_c;
             Fr.mul v4 eval_s1; Fr.mul v5 eval_s2; Fr.mul u eval_z_omega ]
       in
-      let e = G1.mul G1.generator e_scalar in
       (* Final pairing check:
-         e(W_z + u W_zw, [tau]G2) = e(zeta W_z + u zeta omega W_zw + F - E, G2) *)
+         e(W_z + u W_zw, [tau]G2) = e(zeta W_z + u zeta omega W_zw + F - E, G2)
+         with [F] = [D] + v[a] + v^2[b] + v^3[c] + v^4[s1] + v^5[s2] + u[z]
+         and [D] the polynomial part of the linearization commitment:
+           [D] = ab[qm] + a[ql] + b[qr] + c[qo] + [qc] + perm_z [z]
+                 + perm_s3 [s3] - Z_H(zeta) ([t_lo] + zeta^n [t_mid]
+                 + zeta^2n [t_hi]).
+         The right-hand side is one MSM. *)
       let lhs_g1 =
         G1.add proof.Proof.cm_w_zeta (G1.mul proof.Proof.cm_w_zeta_omega u)
       in
       let zeta_omega = Fr.mul zeta (Domain.omega domain) in
+      let neg_zh = Fr.neg zh_zeta in
       let rhs_g1 =
-        List.fold_left G1.add G1.zero
-          [ G1.mul proof.Proof.cm_w_zeta zeta;
-            G1.mul proof.Proof.cm_w_zeta_omega (Fr.mul u zeta_omega);
-            f;
-            G1.neg e ]
+        G1.msm
+          [| vk.Preprocess.cm_qm; vk.Preprocess.cm_ql; vk.Preprocess.cm_qr;
+             vk.Preprocess.cm_qo; vk.Preprocess.cm_qc; proof.Proof.cm_z;
+             vk.Preprocess.cm_sigma3; proof.Proof.cm_t_lo;
+             proof.Proof.cm_t_mid; proof.Proof.cm_t_hi; proof.Proof.cm_a;
+             proof.Proof.cm_b; proof.Proof.cm_c; vk.Preprocess.cm_sigma1;
+             vk.Preprocess.cm_sigma2; G1.generator; proof.Proof.cm_w_zeta;
+             proof.Proof.cm_w_zeta_omega |]
+          [| Fr.mul eval_a eval_b; eval_a; eval_b; eval_c; Fr.one;
+             Fr.add perm_z_coeff u; perm_s3_coeff; neg_zh;
+             Fr.mul neg_zh zeta_n; Fr.mul neg_zh (Fr.sqr zeta_n); v1; v2; v3;
+             v4; v5; Fr.neg e_scalar; zeta; Fr.mul u zeta_omega |]
       in
       Some (lhs_g1, rhs_g1)
     end
@@ -166,8 +147,9 @@ let verify (vk : Preprocess.verification_key) (publics : Fr.t array)
     match prepare vk publics proof with
     | None -> false
     | Some (lhs, rhs) ->
-      Pairing.pairing_check
-        [ (lhs, vk.Preprocess.vk_g2_tau); (G1.neg rhs, vk.Preprocess.vk_g2) ]
+      Pairing.pairing_check_prepared
+        [ (lhs, vk.Preprocess.vk_g2_tau_lines);
+          (G1.neg rhs, vk.Preprocess.vk_g2_lines) ]
   in
   if Obs.is_enabled () then
     Obs.emit (Zkdet_obs.Event.Proof_verified { system = "plonk"; ok });
@@ -222,8 +204,10 @@ let verify_batch
     let rhos = batch_scalars items in
     (* Group the prepared pairs by SRS (vk_g2_tau, vk_g2), in first-use
        order: circuits preprocessed over one SRS fold together; a batch
-       spanning several ceremonies costs one pairing check per SRS. *)
-    let groups : ((G2.t * G2.t) * ((G1.t * G1.t) * Fr.t) list ref) list ref =
+       spanning several ceremonies costs one pairing check per SRS.  The
+       group keeps the first key's prepared lines for its check. *)
+    let groups :
+        (Preprocess.verification_key * ((G1.t * G1.t) * Fr.t) list ref) list ref =
       ref []
     in
     let structural_ok =
@@ -232,23 +216,22 @@ let verify_batch
           match prepare vk publics proof with
           | None -> false
           | Some lr ->
-            let tau = vk.Preprocess.vk_g2_tau and g2 = vk.Preprocess.vk_g2 in
-            (match
-               List.find_opt
-                 (fun ((t, g), _) -> G2.equal t tau && G2.equal g g2)
-                 !groups
-             with
+            let same_srs (first : Preprocess.verification_key) =
+              G2.equal first.vk_g2_tau vk.vk_g2_tau && G2.equal first.vk_g2 vk.vk_g2
+            in
+            (match List.find_opt (fun (first, _) -> same_srs first) !groups with
             | Some (_, cell) -> cell := (lr, rho) :: !cell
-            | None -> groups := ((tau, g2), ref [ (lr, rho) ]) :: !groups);
+            | None -> groups := (vk, ref [ (lr, rho) ]) :: !groups);
             true)
         items rhos
     in
     let ok =
       structural_ok
       && List.for_all
-           (fun ((g2_tau, g2), cell) ->
+           (fun ((vk : Preprocess.verification_key), cell) ->
              let entries = List.rev !cell in
-             Zkdet_kzg.Kzg.verify_batch_openings ~g2 ~g2_tau
+             Zkdet_kzg.Kzg.verify_batch_openings ~g2:vk.vk_g2_lines
+               ~g2_tau:vk.vk_g2_tau_lines
                (List.map
                   (fun ((l, r), _) -> (r, Fr.zero, Fr.zero, l))
                   entries)

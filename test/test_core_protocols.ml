@@ -14,6 +14,7 @@ module Storage = Zkdet_storage.Storage
 module Chain = Zkdet_chain.Chain
 module Escrow = Zkdet_contracts.Escrow
 module Poseidon = Zkdet_poseidon.Poseidon
+module Scenario = Zkdet_core.Scenario
 
 (* One shared proving environment (universal setup) for the whole suite. *)
 let env = lazy (Env.create ~log2_max_gates:13 ())
@@ -333,6 +334,13 @@ let test_escrow_fairness_onchain () =
   | Ok () -> ()
   | Error e -> Alcotest.failf "honest settle failed: %s" (Chain.error_to_string e)
 
+(* The canned exchange behind [zkdet exchange] at its default
+   configuration: the SRS must be sized from the circuit it proves, not
+   from a constant that only fits small datasets. *)
+let test_scenario_default_config () =
+  let o = Scenario.run_cfg Scenario.Config.default in
+  Alcotest.(check bool) "default exchange completes" true o.Scenario.ok
+
 let () =
   Alcotest.run "zkdet_core"
     [ ( "sealing",
@@ -348,7 +356,9 @@ let () =
         [ Alcotest.test_case "honest two-phase exchange" `Slow test_exchange_honest;
           Alcotest.test_case "buyer fairness" `Slow test_exchange_buyer_fairness;
           Alcotest.test_case "seller fairness" `Quick test_exchange_seller_fairness;
-          Alcotest.test_case "zkcp baseline + flaw" `Slow test_zkcp_baseline ] );
+          Alcotest.test_case "zkcp baseline + flaw" `Slow test_zkcp_baseline;
+          Alcotest.test_case "scenario default config" `Slow
+            test_scenario_default_config ] );
       ( "marketplace",
         [ Alcotest.test_case "publish/derive/audit/trade" `Slow test_marketplace_end_to_end;
           Alcotest.test_case "storage tamper detected" `Slow test_marketplace_tamper_detected;

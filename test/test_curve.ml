@@ -127,24 +127,30 @@ let test_pairing_nondegenerate () =
   let e = Pairing.pairing G1.generator G2.generator in
   Alcotest.(check bool) "e(g1,g2) <> 1" false (Pairing.Gt.is_one e);
   (* order r in GT *)
-  Alcotest.check gt "e^r = 1" Pairing.Gt.one (Pairing.Gt.pow_nat e Fr.modulus)
+  Alcotest.check gt "e^r = 1" Pairing.Gt.one (Pairing.Gt.pow_nat e Fr.modulus);
+  let e = Pairing.pairing (G1.random rng) (G2.random rng) in
+  Alcotest.(check bool) "e(P,Q) <> 1 on random points" false (Pairing.Gt.is_one e);
+  Alcotest.check gt "e(P,Q)^r = 1" Pairing.Gt.one (Pairing.Gt.pow_nat e Fr.modulus)
 
 let test_pairing_bilinear () =
-  let a = Fr.of_int 7 and b = Fr.of_int 11 in
-  let p = G1.generator and q = G2.generator in
+  (* full-size random scalars *)
+  let a = Fr.random rng and b = Fr.random rng in
+  let p = G1.random rng and q = G2.random rng in
   let e_ab = Pairing.pairing (G1.mul p a) (G2.mul q b) in
   let e = Pairing.pairing p q in
-  Alcotest.check gt "e(aP,bQ) = e(P,Q)^(ab)" (Pairing.Gt.pow_nat e (Nat.of_int 77)) e_ab;
-  (* random scalars *)
+  Alcotest.check gt "e(aP,bQ) = e(P,Q)^(ab)" (Pairing.Gt.pow e (Fr.mul a b)) e_ab;
   let s = Fr.random rng in
   Alcotest.check gt "e(sP,Q) = e(P,sQ)"
     (Pairing.pairing (G1.mul p s) q)
     (Pairing.pairing p (G2.mul q s));
-  (* additivity in the first argument *)
-  let p2 = G1.random rng in
+  (* additivity in each argument *)
+  let p2 = G1.random rng and q2 = G2.random rng in
   Alcotest.check gt "e(P+P',Q) = e(P,Q) e(P',Q)"
     (Pairing.Gt.mul (Pairing.pairing p q) (Pairing.pairing p2 q))
-    (Pairing.pairing (G1.add p p2) q)
+    (Pairing.pairing (G1.add p p2) q);
+  Alcotest.check gt "e(P,Q+Q') = e(P,Q) e(P,Q')"
+    (Pairing.Gt.mul (Pairing.pairing p q) (Pairing.pairing p q2))
+    (Pairing.pairing p (G2.add q q2))
 
 let test_fixed_base_table () =
   let table = G1.Fixed_base.create G1.generator in
@@ -208,6 +214,97 @@ let test_pairing_check () =
        [ (G1.mul G1.generator a, G2.generator);
          (G1.generator, G2.mul G2.generator a) ])
 
+let fp12 = Alcotest.testable Fp12.pp Fp12.equal
+let prep = Pairing.G2_prepared.of_g2
+
+(* A pair list whose product of pairings is 1: e(aP,Q) e(-P,aQ) plus
+   e(bP',Q') e(-bP',Q'). *)
+let balanced_pairs () =
+  let a = Fr.random rng and b = Fr.random rng in
+  let p = G1.random rng and q = G2.random rng in
+  let p' = G1.mul (G1.random rng) b and q' = G2.random rng in
+  [ (G1.mul p a, q); (G1.neg p, G2.mul q a); (p', q'); (G1.neg p', q') ]
+
+let test_prepared_matches_unprepared () =
+  let pairs = balanced_pairs () in
+  let prepared = List.map (fun (p, q) -> (p, prep q)) pairs in
+  Alcotest.(check bool) "unprepared accepts" true (Pairing.pairing_check pairs);
+  Alcotest.(check bool) "prepared accepts" true (Pairing.pairing_check_prepared prepared);
+  let p = G1.random rng and q = G2.random rng in
+  Alcotest.check fp12 "miller_loop = multi-Miller loop over prepared lines"
+    (Pairing.miller_loop p q)
+    (Pairing.multi_miller_loop [ (p, prep q) ]);
+  (* a broken pair: both forms reject *)
+  let broken = List.rev ((G1.random rng, G2.random rng) :: List.tl (List.rev pairs)) in
+  Alcotest.(check bool) "unprepared rejects" false (Pairing.pairing_check broken);
+  Alcotest.(check bool) "prepared rejects" false
+    (Pairing.pairing_check_prepared (List.map (fun (p, q) -> (p, prep q)) broken))
+
+let test_multi_miller_is_product () =
+  let pairs = List.init 3 (fun _ -> (G1.random rng, G2.random rng)) in
+  let product =
+    List.fold_left (fun acc (p, q) -> Fp12.mul acc (Pairing.miller_loop p q)) Fp12.one pairs
+  in
+  Alcotest.check fp12 "shared squaring = product of loops" product
+    (Pairing.multi_miller_loop (List.map (fun (p, q) -> (p, prep q)) pairs));
+  Alcotest.check gt "final exponentiation of the product = product of pairings"
+    (List.fold_left (fun acc (p, q) -> Pairing.Gt.mul acc (Pairing.pairing p q))
+       Pairing.Gt.one pairs)
+    (Pairing.final_exponentiation product)
+
+let test_final_exponent_reference () =
+  (* The fast chain computes exactly its declared exponent, checked
+     against plain square-and-multiply on random (non-GT) inputs. *)
+  for _ = 1 to 2 do
+    let f = Fp12.random rng in
+    Alcotest.(check string) "chain = pow_nat final_exponent"
+      (Fp12.to_bytes (Fp12.pow_nat f Pairing.final_exponent))
+      (Pairing.Gt.to_bytes (Pairing.final_exponentiation f))
+  done
+
+let test_dedicated_squarings () =
+  for _ = 1 to 5 do
+    let a6 = Fp6.random rng in
+    assert (Fp6.equal (Fp6.sqr a6) (Fp6.mul a6 a6));
+    let a = Fp12.random rng in
+    Alcotest.check fp12 "fp12 sqr" (Fp12.mul a a) (Fp12.sqr a);
+    (* cyclotomic subgroup element: a^((p^6 - 1)(p^2 + 1)) *)
+    let t = Fp12.mul (Fp12.conj a) (Fp12.inv a) in
+    let c = Fp12.mul (Fp12.frobenius (Fp12.frobenius t)) t in
+    Alcotest.check fp12 "cyclotomic sqr" (Fp12.mul c c) (Fp12.cyclotomic_sqr c);
+    (* sparse line multiplication against the dense product *)
+    let c0 = Fp2.random rng and c3 = Fp2.random rng and c4 = Fp2.random rng in
+    let line = Fp12.make (Fp6.of_fp2 c0) (Fp6.make c3 c4 Fp2.zero) in
+    Alcotest.check fp12 "mul_by_034" (Fp12.mul a line) (Fp12.mul_by_034 a c0 c3 c4)
+  done
+
+let test_pairing_infinity () =
+  let p = G1.random rng and q = G2.random rng in
+  Alcotest.check gt "e(O,Q) = 1" Pairing.Gt.one (Pairing.pairing G1.zero q);
+  Alcotest.check gt "e(P,O) = 1" Pairing.Gt.one (Pairing.pairing p G2.zero);
+  Alcotest.(check bool) "O prepares to the neutral entry" true
+    (Pairing.G2_prepared.is_zero (prep G2.zero));
+  Alcotest.(check bool) "all-infinity check holds" true
+    (Pairing.pairing_check [ (G1.zero, q); (p, G2.zero) ]);
+  Alcotest.(check bool) "empty check holds" true (Pairing.pairing_check []);
+  Alcotest.(check bool) "infinity pairs drop out of a valid check" true
+    (Pairing.pairing_check ((G1.zero, q) :: (p, G2.zero) :: balanced_pairs ()));
+  Alcotest.(check bool) "a lone non-trivial pair fails" false
+    (Pairing.pairing_check [ (G1.zero, q); (p, q) ])
+
+let test_wrong_lines_rejected () =
+  let a = Fr.random rng in
+  let p = G1.random rng and q = G2.random rng in
+  let qa = G2.mul q a in
+  let check lines_q lines_qa =
+    Pairing.pairing_check_prepared [ (G1.mul p a, lines_q); (G1.neg p, lines_qa) ]
+  in
+  Alcotest.(check bool) "right lines accept" true (check (prep q) (prep qa));
+  Alcotest.(check bool) "lines of another point reject" false
+    (check (prep q) (prep (G2.add qa G2.generator)));
+  Alcotest.(check bool) "lines of -Q reject" false (check (prep (G2.neg q)) (prep qa));
+  Alcotest.(check bool) "swapped lines reject" false (check (prep qa) (prep q))
+
 let () =
   Alcotest.run "zkdet_curve"
     [ ( "tower",
@@ -228,4 +325,14 @@ let () =
       ( "pairing",
         [ Alcotest.test_case "non-degenerate" `Quick test_pairing_nondegenerate;
           Alcotest.test_case "bilinear" `Slow test_pairing_bilinear;
-          Alcotest.test_case "pairing check" `Slow test_pairing_check ] ) ]
+          Alcotest.test_case "pairing check" `Slow test_pairing_check;
+          Alcotest.test_case "prepared = unprepared" `Quick
+            test_prepared_matches_unprepared;
+          Alcotest.test_case "multi-Miller loop = product" `Quick
+            test_multi_miller_is_product;
+          Alcotest.test_case "final exponent reference" `Slow
+            test_final_exponent_reference;
+          Alcotest.test_case "dedicated squarings" `Quick test_dedicated_squarings;
+          Alcotest.test_case "inputs at infinity" `Quick test_pairing_infinity;
+          Alcotest.test_case "wrong prepared lines rejected" `Quick
+            test_wrong_lines_rejected ] ) ]

@@ -169,6 +169,22 @@ let test_healthz () =
   Alcotest.(check int) "status" 200 status;
   Alcotest.(check string) "body" "ok\n" body
 
+(* A client that connects and hangs up without sending a byte (a TCP
+   health probe, a port scan) must not take the server down: the 400 the
+   server answers goes to a closed socket.  Half the clients close with
+   an RST (SO_LINGER 0), so the server's write fails at once. *)
+let test_bare_connect_close () =
+  with_server @@ fun port ->
+  for i = 1 to 6 do
+    let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+    Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+    if i mod 2 = 0 then Unix.setsockopt_optint fd Unix.SO_LINGER (Some 0);
+    Unix.close fd
+  done;
+  let status, body = http_get port "/healthz" in
+  Alcotest.(check int) "status" 200 status;
+  Alcotest.(check string) "body" "ok\n" body
+
 let test_metrics_live_and_conformant () =
   with_server @@ fun port ->
   record_some_telemetry ();
@@ -381,6 +397,8 @@ let () =
         ] );
       ( "http",
         [ Alcotest.test_case "healthz" `Quick test_healthz;
+          Alcotest.test_case "bare connect-and-close" `Quick
+            test_bare_connect_close;
           Alcotest.test_case "metrics live and conformant" `Quick
             test_metrics_live_and_conformant;
           Alcotest.test_case "spans and flame endpoints" `Quick

@@ -194,11 +194,11 @@ let g2_group_laws =
       && G2.equal (G2.add p (G2.neg p)) G2.zero)
 
 let pairing_bilinear =
-  prop ~count:3 "pairing bilinearity" (pp2 string_of_int string_of_int)
-    (Gen.pair (Gen.int_range 1 50) (Gen.int_range 1 50)) (fun (a, b) ->
-      let p = G1.generator and q = G2.generator in
-      let lhs = Pairing.pairing (G1.mul_int p a) (G2.mul_int q b) in
-      let rhs = Pairing.Gt.pow (Pairing.pairing p q) (Fr.of_int (a * b)) in
+  prop ~count:3 "pairing bilinearity"
+    (fun (ab, _) -> pp2 pp_fr pp_fr ab ^ " on random points")
+    (Gen.pair (Gen.pair Gz.fr Gz.fr) (Gen.pair Gz.g1 Gz.g2)) (fun ((a, b), (p, q)) ->
+      let lhs = Pairing.pairing (G1.mul p a) (G2.mul q b) in
+      let rhs = Pairing.Gt.pow (Pairing.pairing p q) (Fr.mul a b) in
       Pairing.Gt.equal lhs rhs)
 
 let fft_roundtrip =
