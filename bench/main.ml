@@ -865,18 +865,31 @@ let proving_exp () =
 (* ---------------------------------------------------------------- *)
 
 (* Amortized per-point cost at the sizes the prover actually issues
-   (wire/quotient commitments): the generic signed-wNAF Pippenger and the
+   (wire/quotient commitments, and n = 8192 for the exchange's 2^13
+   validation circuit): the generic signed-wNAF Pippenger and the
    fixed-base table path used for SRS powers.  Points are generated
    incrementally (one group add each) so harness setup stays cheap at
-   every size; timings take the best of three runs.  The committed
-   BENCH_msm.json pins ns/point per (n, window) on this host class, and
-   the window column pins the tuned lookup so an accidental change to the
-   window table is a deterministic-field diff, not a timing blip. *)
+   every size.  The generic path runs five interleaved pairs at 1 domain
+   and at min(2, cores) domains and reports the medians, their ratio and
+   the minor-heap megabytes one 1-domain MSM allocates (all its work is
+   then on the calling domain); the table path takes the best of three
+   at 1 domain.  The committed BENCH_msm.json pins these per n on this
+   host class, and the two window columns pin the tuned lookups (generic
+   and fixed-base) so an accidental change to a window table is a
+   deterministic-field diff, not a timing blip. *)
 let msm_exp () =
+  let module Pool = Zkdet_parallel.Pool in
   header "MSM: amortized ns/point, generic Pippenger vs fixed-base tables";
+  let par = min 2 (Stdlib.Domain.recommended_domain_count ()) in
   let st = Random.State.make [| 0x3513 |] in
-  Printf.printf "%-8s %8s %18s %18s\n" "n" "window" "generic (ns/pt)"
+  Printf.printf "%-6s %4s %6s %14s %14s %7s %10s %14s\n" "n" "c" "table c"
+    "generic 1d" (Printf.sprintf "generic %dd" par) "ratio" "minor MB"
     "table (ns/pt)";
+  let median l =
+    let a = Array.of_list l in
+    Array.sort compare a;
+    a.(Array.length a / 2)
+  in
   List.iter
     (fun n ->
       let points = Array.make n G1.zero in
@@ -886,23 +899,47 @@ let msm_exp () =
         acc := G1.add !acc G1.generator
       done;
       let scalars = Array.init n (fun _ -> Fr.random st) in
-      let best f =
-        List.fold_left
-          (fun b _ -> let _, t = wall f in Float.min b t)
-          infinity [ 1; 2; 3 ]
+      let timed domains =
+        Pool.with_domains domains (fun () ->
+            let w0 = Gc.minor_words () in
+            let _, t = wall (fun () -> ignore (G1.msm points scalars)) in
+            (t, Gc.minor_words () -. w0))
       in
-      let generic = best (fun () -> ignore (G1.msm points scalars)) in
-      let tb = G1.Fixed_base.msm_create points in
-      let table = best (fun () -> ignore (G1.Fixed_base.msm tb scalars)) in
+      let runs =
+        List.init 5 (fun _ ->
+            let t1, words = timed 1 in
+            let tp, _ = timed par in
+            (t1, tp, words))
+      in
+      let seq = median (List.map (fun (t, _, _) -> t) runs) in
+      let parallel = median (List.map (fun (_, t, _) -> t) runs) in
+      let minor_mb =
+        median (List.map (fun (_, _, w) -> w) runs)
+        *. float_of_int (Sys.word_size / 8)
+        /. 1e6
+      in
+      let table =
+        Pool.with_domains 1 (fun () ->
+            let tb = G1.Fixed_base.msm_create points in
+            List.fold_left
+              (fun b _ ->
+                let _, t = wall (fun () -> ignore (G1.Fixed_base.msm tb scalars)) in
+                Float.min b t)
+              infinity [ 1; 2; 3 ])
+      in
+      let generic_window = G1.pick_window n in
       let window = G1.Fixed_base.msm_window_for n in
       let per t = 1e9 *. t /. float_of_int n in
       emit_row
-        [ jint "n" n; jint "window" window;
-          jfloat "generic_ns_per_point" (per generic);
+        [ jint "n" n; jint "generic_window" generic_window; jint "window" window;
+          jfloat "generic_ns_per_point" (per seq);
+          jfloat "generic_par_ns_per_point" (per parallel);
+          jfloat "par_ratio" (parallel /. seq);
+          jfloat "minor_mb_per_msm" minor_mb;
           jfloat "table_ns_per_point" (per table) ];
-      Printf.printf "%-8d %8d %18.0f %18.0f\n%!" n window (per generic)
-        (per table))
-    [ 256; 1024; 4096 ]
+      Printf.printf "%-6d %4d %6d %14.0f %14.0f %7.2f %10.2f %14.0f\n%!" n
+        generic_window window (per seq) (per parallel) (parallel /. seq) minor_mb (per table))
+    [ 256; 1024; 4096; 8192 ]
 
 (* ---------------------------------------------------------------- *)
 (* Field: scalar-kernel ns/op for both Fp backends                    *)

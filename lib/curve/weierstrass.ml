@@ -191,28 +191,50 @@ module Make (P : PARAMS) = struct
       end
     end
 
-  (** Normalize many points to affine with one shared inversion
-      (Montgomery's batch-inversion trick). Infinity maps to [None]. *)
-  let batch_to_affine (points : t array) : (F.t * F.t) option array =
+  (* Affine coordinates of many points into flat buffers, with one shared
+     inversion (Montgomery's batch-inversion trick): cell i of [ax]/[ay]
+     holds point i when [finite.(i)]; identity points leave zero cells.
+     Every field op runs on buffer cells, so nothing is allocated per
+     point. *)
+  let batch_to_affine_bufs (points : t array) =
     let n = Array.length points in
-    let prefix = Array.make n F.one in
-    let acc = ref F.one in
+    let ax = F.buf_create (max n 1) and ay = F.buf_create (max n 1) in
+    let finite = Array.map (fun p -> not (is_zero p)) points in
+    (* prefix cell i: product of the finite z's before i; cell n: running
+       product, then running inverse.  tmp: z, 1/z, 1/z^2. *)
+    let prefix = F.buf_create (n + 1) and tmp = F.buf_create 3 in
+    F.buf_set prefix n F.one;
     for i = 0 to n - 1 do
-      prefix.(i) <- !acc;
-      if not (is_zero points.(i)) then acc := F.mul !acc points.(i).z
-    done;
-    let inv_acc = ref (F.inv !acc) in
-    let out = Array.make n None in
-    for i = n - 1 downto 0 do
-      if not (is_zero points.(i)) then begin
-        let zinv = F.mul !inv_acc prefix.(i) in
-        inv_acc := F.mul !inv_acc points.(i).z;
-        let zinv2 = F.sqr zinv in
-        out.(i) <-
-          Some (F.mul points.(i).x zinv2, F.mul points.(i).y (F.mul zinv2 zinv))
+      F.buf_blit prefix n prefix i 1;
+      if finite.(i) then begin
+        F.buf_set tmp 0 points.(i).z;
+        F.buf_mul prefix n prefix n tmp 0
       end
     done;
-    out
+    F.buf_set prefix n (F.inv (F.buf_get prefix n));
+    for i = n - 1 downto 0 do
+      if finite.(i) then begin
+        let p = points.(i) in
+        F.buf_set tmp 0 p.z;
+        F.buf_mul tmp 1 prefix n prefix i;
+        F.buf_mul prefix n prefix n tmp 0;
+        F.buf_sqr tmp 2 tmp 1;
+        F.buf_set ax i p.x;
+        F.buf_mul ax i ax i tmp 2;
+        F.buf_mul tmp 2 tmp 2 tmp 1;
+        F.buf_set ay i p.y;
+        F.buf_mul ay i ay i tmp 2
+      end
+    done;
+    (ax, ay, finite)
+
+  (** Normalize many points to affine with one shared inversion.
+      Infinity maps to [None]. *)
+  let batch_to_affine (points : t array) : (F.t * F.t) option array =
+    let ax, ay, finite = batch_to_affine_bufs points in
+    Array.mapi
+      (fun i f -> if f then Some (F.buf_get ax i, F.buf_get ay i) else None)
+      finite
 
   let mul_nat p (e : Nat.t) =
     let nbits = Nat.num_bits e in
@@ -242,7 +264,11 @@ module Make (P : PARAMS) = struct
      - Points are partitioned into chunks whose count depends only on n;
        each chunk computes every window and chunks are merged in fixed
        index order, so the result (and hence any proof bytes built from
-       it) is identical at any pool size / ZKDET_DOMAINS. *)
+       it) is identical at any pool size / ZKDET_DOMAINS.
+     - After the chunks, each window merges its buckets and takes its
+       running sum as a separate pool task, in in-place XYZZ
+       accumulators; only the Horner walk over the window sums is
+       serial. *)
 
   let scalar_bits = Fr.num_bits
 
@@ -256,9 +282,10 @@ module Make (P : PARAMS) = struct
     else if n < 128 then 5
     else if n < 512 then 6
     else if n < 2048 then 7
-    else if n < 8192 then 8
-    else if n < 32768 then 9
-    else 10
+    else if n < 4096 then 8
+    else if n < 8192 then 9
+    else if n < 32768 then 10
+    else 11
 
   (* Chunk count for the point partition. Depends only on n — never on
      the pool size — so chunk boundaries (and the merge) are stable. *)
@@ -392,24 +419,155 @@ module Make (P : PARAMS) = struct
       done
     end
 
-  (* Running-sum trick over a contiguous range of reduced buckets:
-     sum_{j} (j + 1) * bucket_{first + j}. *)
-  let bucket_running_sum ~(ex : F.buf) ~(ey : F.buf) ~start ~len ~first ~count
-      =
-    let running = ref zero and sum = ref zero in
-    for j = count - 1 downto 0 do
-      let b = first + j in
-      if len.(b) = 1 then
-        running :=
-          add_mixed !running (F.buf_get ex start.(b), F.buf_get ey start.(b));
-      if not (is_zero !running) then sum := add !sum !running
-    done;
-    !sum
+  (* ---- in-place XYZZ accumulators for the running sums ----
+
+     A point (X, Y, ZZ, ZZZ) stands for the affine (X/ZZ, Y/ZZZ), with
+     ZZ^3 = ZZZ^2; ZZ = 0 is the identity.  Each accumulator occupies four
+     consecutive cells of one workspace buffer and every formula writes
+     its intermediates to scratch cells of the same buffer, so a running
+     sum over thousands of buckets allocates nothing.  Formulas are
+     madd-2008-s, add-2008-s and dbl-2008-s-1 (a = 0) from the EFD. *)
+
+  (* Workspace cells: three accumulators, then scratch. *)
+  let xyzz_running = 0
+  let xyzz_sum = 4
+  let xyzz_acc = 8
+  let xyzz_tmp = 12
+  let xyzz_cells = xyzz_tmp + 8
+
+  let xyzz_workspace () = F.buf_create xyzz_cells
+
+  let xyzz_is_zero ws p = F.buf_is_zero ws (p + 2)
+
+  let xyzz_set_zero ws p =
+    F.buf_set ws (p + 2) F.zero;
+    F.buf_set ws (p + 3) F.zero
+
+  (* p <- 2p *)
+  let xyzz_dbl ws p =
+    if not (xyzz_is_zero ws p) then begin
+      let x = p and y = p + 1 and zz = p + 2 and zzz = p + 3 in
+      let u = xyzz_tmp and v = xyzz_tmp + 1 and w = xyzz_tmp + 2 in
+      let s = xyzz_tmp + 3 and m = xyzz_tmp + 4 and t = xyzz_tmp + 5 in
+      F.buf_double ws u ws y;
+      F.buf_sqr ws v ws u;
+      F.buf_mul ws w ws u ws v;
+      F.buf_mul ws s ws x ws v;
+      F.buf_sqr ws m ws x;
+      F.buf_double ws t ws m;
+      F.buf_add ws m ws m ws t;
+      F.buf_mul ws zz ws zz ws v;
+      F.buf_mul ws zzz ws zzz ws w;
+      (* X3 = M^2 - 2S *)
+      F.buf_sqr ws t ws m;
+      F.buf_double ws x ws s;
+      F.buf_sub ws x ws t ws x;
+      (* Y3 = M (S - X3) - W Y1; a 2-torsion input (Y1 = 0) leaves
+         ZZ3 = 0, the identity. *)
+      F.buf_sub ws s ws s ws x;
+      F.buf_mul ws s ws m ws s;
+      F.buf_mul ws w ws w ws y;
+      F.buf_sub ws y ws s ws w
+    end
+
+  (* Shared tail of the additions: given P = U2 - U1 in [pc], R = S2 - S1
+     in [rc], U1 in [uc] and S1 in [sc], finish X3, Y3 and scale ZZ/ZZZ by
+     PP/PPP (the caller has already multiplied in the other operand's). *)
+  let xyzz_add_tail ws p ~pc ~rc ~uc ~sc =
+    let x = p and y = p + 1 and zz = p + 2 and zzz = p + 3 in
+    let pp = xyzz_tmp + 6 and ppp = xyzz_tmp + 7 in
+    F.buf_sqr ws pp ws pc;
+    F.buf_mul ws ppp ws pc ws pp;
+    (* Q = U1 PP, reusing U1's cell *)
+    F.buf_mul ws uc ws uc ws pp;
+    F.buf_mul ws zz ws zz ws pp;
+    F.buf_mul ws zzz ws zzz ws ppp;
+    (* X3 = R^2 - PPP - 2Q *)
+    F.buf_sqr ws pc ws rc;
+    F.buf_sub ws pc ws pc ws ppp;
+    F.buf_double ws x ws uc;
+    F.buf_sub ws x ws pc ws x;
+    (* Y3 = R (Q - X3) - S1 PPP *)
+    F.buf_sub ws uc ws uc ws x;
+    F.buf_mul ws uc ws rc ws uc;
+    F.buf_mul ws sc ws sc ws ppp;
+    F.buf_sub ws y ws uc ws sc
+
+  (* p <- p + (ax[i], ay[i]), a finite affine point. *)
+  let xyzz_add_affine ws p (ax : F.buf) (ay : F.buf) i =
+    if xyzz_is_zero ws p then begin
+      F.buf_blit ax i ws p 1;
+      F.buf_blit ay i ws (p + 1) 1;
+      F.buf_set ws (p + 2) F.one;
+      F.buf_set ws (p + 3) F.one
+    end
+    else begin
+      let pc = xyzz_tmp and rc = xyzz_tmp + 1 in
+      let uc = xyzz_tmp + 2 and sc = xyzz_tmp + 3 in
+      (* P = X2 ZZ1 - X1, R = Y2 ZZZ1 - Y1 *)
+      F.buf_mul ws pc ax i ws (p + 2);
+      F.buf_sub ws pc ws pc ws p;
+      F.buf_mul ws rc ay i ws (p + 3);
+      F.buf_sub ws rc ws rc ws (p + 1);
+      if F.buf_is_zero ws pc then
+        if F.buf_is_zero ws rc then xyzz_dbl ws p else xyzz_set_zero ws p
+      else begin
+        F.buf_blit ws p ws uc 1;
+        F.buf_blit ws (p + 1) ws sc 1;
+        xyzz_add_tail ws p ~pc ~rc ~uc ~sc
+      end
+    end
+
+  (* p <- p + q, where q is the accumulator at cell [q] of [qb] (another
+     workspace, or another accumulator of this one). *)
+  let xyzz_add ws p (qb : F.buf) q =
+    if xyzz_is_zero ws p then F.buf_blit qb q ws p 4
+    else if not (xyzz_is_zero qb q) then begin
+      let pc = xyzz_tmp and rc = xyzz_tmp + 1 in
+      let uc = xyzz_tmp + 2 and sc = xyzz_tmp + 3 in
+      (* U1 = X1 ZZ2, S1 = Y1 ZZZ2, P = X2 ZZ1 - U1, R = Y2 ZZZ1 - S1 *)
+      F.buf_mul ws uc ws p qb (q + 2);
+      F.buf_mul ws sc ws (p + 1) qb (q + 3);
+      F.buf_mul ws pc qb q ws (p + 2);
+      F.buf_sub ws pc ws pc ws uc;
+      F.buf_mul ws rc qb (q + 1) ws (p + 3);
+      F.buf_sub ws rc ws rc ws sc;
+      if F.buf_is_zero ws pc then
+        if F.buf_is_zero ws rc then xyzz_dbl ws p else xyzz_set_zero ws p
+      else begin
+        F.buf_mul ws (p + 2) ws (p + 2) qb (q + 2);
+        F.buf_mul ws (p + 3) ws (p + 3) qb (q + 3);
+        xyzz_add_tail ws p ~pc ~rc ~uc ~sc
+      end
+    end
+
+  (* The accumulator as a Jacobian point: (X ZZ^2, Y ZZZ^2, ZZZ). *)
+  let xyzz_to_point ws p =
+    if xyzz_is_zero ws p then zero
+    else begin
+      let t = xyzz_tmp in
+      F.buf_sqr ws t ws (p + 2);
+      F.buf_mul ws t ws t ws p;
+      F.buf_sqr ws (t + 1) ws (p + 3);
+      F.buf_mul ws (t + 1) ws (t + 1) ws (p + 1);
+      { x = F.buf_get ws t; y = F.buf_get ws (t + 1); z = F.buf_get ws (p + 3) }
+    end
+
+  (* Running-sum trick over reduced buckets, into the workspace's
+     [xyzz_sum] accumulator: sum_{b} (b + 1) * bucket_b. *)
+  let bucket_running_sum ws ~(ex : F.buf) ~(ey : F.buf) ~start ~len =
+    xyzz_set_zero ws xyzz_running;
+    xyzz_set_zero ws xyzz_sum;
+    for b = Array.length len - 1 downto 0 do
+      if len.(b) = 1 then xyzz_add_affine ws xyzz_running ex ey start.(b);
+      xyzz_add ws xyzz_sum ws xyzz_running
+    done
 
   (* Chunk output: the surviving bucket points, sorted by bucket index.
      Chunks must NOT pay the running sum themselves — it costs
      O(nbuckets) curve adds and would be multiplied by the chunk count —
-     so survivors are handed back for one shared cross-chunk reduction. *)
+     so survivors are handed back for one shared cross-chunk reduction
+     per window. *)
   type survivors = { sn : int; sb : int array; sx : F.buf; sy : F.buf }
 
   let compact_survivors ~(ex : F.buf) ~(ey : F.buf) ~start ~len =
@@ -432,16 +590,34 @@ module Make (P : PARAMS) = struct
     done;
     { sn = !ns; sb; sx; sy }
 
-  (* Merge per-chunk survivors: one more counting sort (entries for a
-     bucket appear in chunk index order — the deterministic merge) and one
-     more batch-affine reduction, at most ceil(log2 nchunks) rounds.
-     Returns the final per-bucket arrays, each bucket holding <= 1 point. *)
-  let merge_survivors ~nbuckets (parts : survivors array) =
+  (* First index k < n with a.(k) >= x (n if none); [a] is ascending. *)
+  let lower_bound (a : int array) n x =
+    let lo = ref 0 and hi = ref n in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if a.(mid) < x then lo := mid + 1 else hi := mid
+    done;
+    !lo
+
+  (* Merge the per-chunk survivors of buckets [first, first + nbuckets):
+     one more counting sort (entries for a bucket appear in chunk index
+     order — the deterministic merge) and one more batch-affine reduction,
+     at most ceil(log2 nchunks) rounds.  Returns the per-bucket arrays of
+     the range, rebased to 0, each bucket holding <= 1 point. *)
+  let merge_survivors ~first ~nbuckets (parts : survivors array) =
+    let ranges =
+      Array.map
+        (fun p ->
+          (lower_bound p.sb p.sn first, lower_bound p.sb p.sn (first + nbuckets)))
+        parts
+    in
     let counts = Array.make nbuckets 0 in
-    Array.iter
-      (fun p ->
-        for k = 0 to p.sn - 1 do
-          counts.(p.sb.(k)) <- counts.(p.sb.(k)) + 1
+    Array.iteri
+      (fun i p ->
+        let lo, hi = ranges.(i) in
+        for k = lo to hi - 1 do
+          let b = p.sb.(k) - first in
+          counts.(b) <- counts.(b) + 1
         done)
       parts;
     let start = Array.make nbuckets 0 in
@@ -454,10 +630,11 @@ module Make (P : PARAMS) = struct
     let ex = F.buf_create (max total 1) in
     let ey = F.buf_create (max total 1) in
     let fill = Array.make nbuckets 0 in
-    Array.iter
-      (fun p ->
-        for k = 0 to p.sn - 1 do
-          let b = p.sb.(k) in
+    Array.iteri
+      (fun i p ->
+        let lo, hi = ranges.(i) in
+        for k = lo to hi - 1 do
+          let b = p.sb.(k) - first in
           let pos = start.(b) + fill.(b) in
           fill.(b) <- fill.(b) + 1;
           F.buf_blit p.sx k ex pos 1;
@@ -470,8 +647,8 @@ module Make (P : PARAMS) = struct
   (* One chunk of the generic MSM: points [lo, hi) against their scalars,
      every window at once.  All windows share the entry arrays so each
      batch-inversion round spans every window's buckets. *)
-  let msm_chunk ~c ~(aff : (F.t * F.t) option array) ~(scalars : Fr.t array) lo
-      hi =
+  let msm_chunk ~c ~(ax : F.buf) ~(ay : F.buf) ~(finite : bool array)
+      ~(scalars : Fr.t array) lo hi =
     let nw = nwindows_for c in
     let half = 1 lsl (c - 1) in
     let nbuckets = nw * half in
@@ -481,9 +658,8 @@ module Make (P : PARAMS) = struct
     let limbs = Array.make digit_limbs 0 in
     let counts = Array.make nbuckets 0 in
     for i = 0 to nchunk - 1 do
-      match aff.(lo + i) with
-      | None -> () (* identity input: contributes nothing, digits stay 0 *)
-      | Some _ ->
+      (* an identity input contributes nothing: its digits stay 0 *)
+      if finite.(lo + i) then begin
         signed_digits ~c limbs dig_buf scalars.(lo + i);
         for w = 0 to nw - 1 do
           let d = dig_buf.(w) in
@@ -493,6 +669,7 @@ module Make (P : PARAMS) = struct
             counts.(b) <- counts.(b) + 1
           end
         done
+      end
     done;
     let start = Array.make nbuckets 0 in
     let acc = ref 0 in
@@ -505,22 +682,17 @@ module Make (P : PARAMS) = struct
     let ey = F.buf_create (max total 1) in
     let fill = Array.make nbuckets 0 in
     for i = 0 to nchunk - 1 do
-      match aff.(lo + i) with
-      | None -> ()
-      | Some (x, y) ->
-        (* The negated ordinate is shared by every window with a negative
-           digit for this point. *)
-        let yn = F.neg y in
-        for w = 0 to nw - 1 do
-          let d = digits.((i * nw) + w) in
-          if d <> 0 then begin
-            let b = (w * half) + abs d - 1 in
-            let pos = start.(b) + fill.(b) in
-            fill.(b) <- fill.(b) + 1;
-            F.buf_set ex pos x;
-            F.buf_set ey pos (if d > 0 then y else yn)
-          end
-        done
+      let k = lo + i in
+      for w = 0 to nw - 1 do
+        let d = digits.((i * nw) + w) in
+        if d <> 0 then begin
+          let b = (w * half) + abs d - 1 in
+          let pos = start.(b) + fill.(b) in
+          fill.(b) <- fill.(b) + 1;
+          F.buf_blit ax k ex pos 1;
+          if d > 0 then F.buf_blit ay k ey pos 1 else F.buf_neg ey pos ay k
+        end
+      done
     done;
     (* after filling, fill.(b) = counts.(b): reuse it as the live length *)
     reduce_buckets ~ex ~ey ~start ~len:fill;
@@ -534,29 +706,37 @@ module Make (P : PARAMS) = struct
     if c < 2 || c > 16 then invalid_arg "Weierstrass.msm: window outside [2, 16]";
     if n = 0 then zero
     else begin
-      let aff = batch_to_affine points in
+      let ax, ay, finite = batch_to_affine_bufs points in
       let nw = nwindows_for c in
       let half = 1 lsl (c - 1) in
       let nchunks = nchunks_for n in
       let parts =
         Pool.parallel_init nchunks (fun ci ->
-            msm_chunk ~c ~aff ~scalars (ci * n / nchunks) ((ci + 1) * n / nchunks))
+            msm_chunk ~c ~ax ~ay ~finite ~scalars (ci * n / nchunks)
+              ((ci + 1) * n / nchunks))
       in
-      let ex, ey, start, len = merge_survivors ~nbuckets:(nw * half) parts in
-      (* Horner walk over the per-window running sums, doubling c times
-         between windows. *)
-      let acc = ref zero in
+      (* Windows are independent from here on: each merges its buckets'
+         survivors and takes its running sum as its own task. *)
+      let sums =
+        Pool.parallel_init nw (fun w ->
+            let ex, ey, start, len =
+              merge_survivors ~first:(w * half) ~nbuckets:half parts
+            in
+            let ws = xyzz_workspace () in
+            bucket_running_sum ws ~ex ~ey ~start ~len;
+            ws)
+      in
+      (* Horner walk over the window sums, doubling c times between
+         windows. *)
+      let ws = xyzz_workspace () in
+      xyzz_set_zero ws xyzz_acc;
       for w = nw - 1 downto 0 do
-        if w < nw - 1 then
-          for _ = 1 to c do
-            acc := double !acc
-          done;
-        acc :=
-          add !acc
-            (bucket_running_sum ~ex ~ey ~start ~len ~first:(w * half)
-               ~count:half)
+        for _ = 1 to c do
+          xyzz_dbl ws xyzz_acc
+        done;
+        xyzz_add ws xyzz_acc sums.(w) xyzz_sum
       done;
-      !acc
+      xyzz_to_point ws xyzz_acc
     end
 
   (* Pippenger multi-scalar multiplication: sum_i scalars(i) * points(i). *)
@@ -644,21 +824,10 @@ module Make (P : PARAMS) = struct
        `msm` bench sweep — see EXPERIMENTS.md. *)
     let msm_window_for n = if n <= 128 then 8 else if n <= 512 then 10 else 11
 
-    let of_affine_rows ~window ~nbases (aff : (F.t * F.t) option array) =
-      let nw = nwindows_for window in
-      let total = nbases * nw in
-      let mx = F.buf_create (max total 1) in
-      let my = F.buf_create (max total 1) in
-      let mfinite = Array.make (max total 1) false in
-      for k = 0 to total - 1 do
-        match aff.(k) with
-        | Some (x, y) ->
-          F.buf_set mx k x;
-          F.buf_set my k y;
-          mfinite.(k) <- true
-        | None -> ()
-      done;
-      { mwindow = window; mnwindows = nw; mbases = nbases; mx; my; mfinite }
+    let of_rows ~window ~nbases (rows : t array) =
+      let mx, my, mfinite = batch_to_affine_bufs rows in
+      { mwindow = window; mnwindows = nwindows_for window; mbases = nbases;
+        mx; my; mfinite }
 
     let msm_create ?window (points : t array) : msm_table =
       let n = Array.length points in
@@ -680,7 +849,7 @@ module Make (P : PARAMS) = struct
       in
       let nchunks = nchunks_for n in
       Pool.parallel_for_chunks ~chunks:nchunks 0 n (fun ~lo ~hi -> build lo hi);
-      of_affine_rows ~window:c ~nbases:n (batch_to_affine rows)
+      of_rows ~window:c ~nbases:n rows
 
     (** The table rows as points (row-major by base: base i's rows occupy
         indices [i * nwindows, (i+1) * nwindows)); identity bases yield
@@ -699,7 +868,7 @@ module Make (P : PARAMS) = struct
       if window < 2 || window > 16 then Error "fixed-base window outside [2, 16]"
       else if Array.length rows <> nbases * nwindows_for window then
         Error "fixed-base table has the wrong number of rows"
-      else Ok (of_affine_rows ~window ~nbases (batch_to_affine rows))
+      else Ok (of_rows ~window ~nbases rows)
 
     (* One chunk of a table MSM: bases [lo, hi) with their scalars, all
        windows into one shared bucket set. *)
@@ -771,8 +940,10 @@ module Make (P : PARAMS) = struct
               msm_table_chunk tb scalars (ci * n / nchunks)
                 ((ci + 1) * n / nchunks))
         in
-        let ex, ey, start, len = merge_survivors ~nbuckets:half parts in
-        bucket_running_sum ~ex ~ey ~start ~len ~first:0 ~count:half
+        let ex, ey, start, len = merge_survivors ~first:0 ~nbuckets:half parts in
+        let ws = xyzz_workspace () in
+        bucket_running_sum ws ~ex ~ey ~start ~len;
+        xyzz_to_point ws xyzz_sum
       end
   end
 

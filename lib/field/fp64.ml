@@ -348,16 +348,18 @@ struct
         Bytes.fill d (i * el_bytes) el_bytes '\000'
       else sub_off d (i * el_bytes) zero 0 a (j * el_bytes)
 
+    (* Unrolled: a local recursive helper would allocate a closure per
+       call, and the MSM bucket reduction calls this once per pair. *)
     let buf_equal (a : buf) i (b : buf) j =
       let ao = i * el_bytes and bo = j * el_bytes in
-      let rec go k =
-        k = 4
-        || Int64.equal
-             (Bytes.get_int64_le a (ao + (8 * k)))
-             (Bytes.get_int64_le b (bo + (8 * k)))
-           && go (k + 1)
-      in
-      go 0
+      Int64.equal (Bytes.get_int64_le a ao) (Bytes.get_int64_le b bo)
+      && Int64.equal (Bytes.get_int64_le a (ao + 8)) (Bytes.get_int64_le b (bo + 8))
+      && Int64.equal
+           (Bytes.get_int64_le a (ao + 16))
+           (Bytes.get_int64_le b (bo + 16))
+      && Int64.equal
+           (Bytes.get_int64_le a (ao + 24))
+           (Bytes.get_int64_le b (bo + 24))
 
     let buf_butterfly (b : buf) i j (w : buf) k =
       butterfly_off b (i * el_bytes) (j * el_bytes) w (k * el_bytes)

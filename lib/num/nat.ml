@@ -275,19 +275,44 @@ let to_hex n =
     Buffer.contents buf
   end
 
+(* One pass from the least significant byte: bytes are packed into an
+   accumulator and a limb is emitted whenever 26 bits are ready. *)
 let of_bytes_be s =
-  let acc = ref zero in
-  String.iter (fun c -> acc := add (shift_left !acc 8) (of_int (Char.code c))) s;
-  !acc
+  let len = String.length s in
+  let r = Array.make (((8 * len) + limb_bits - 1) / limb_bits) 0 in
+  let acc = ref 0 and nacc = ref 0 and k = ref 0 in
+  for i = len - 1 downto 0 do
+    acc := !acc lor (Char.code (String.unsafe_get s i) lsl !nacc);
+    nacc := !nacc + 8;
+    if !nacc >= limb_bits then begin
+      r.(!k) <- !acc land mask;
+      incr k;
+      acc := !acc lsr limb_bits;
+      nacc := !nacc - limb_bits
+    end
+  done;
+  if !nacc > 0 then r.(!k) <- !acc;
+  normalize r
 
+(* The inverse pass: limbs are unpacked into an accumulator and bytes are
+   written from the end while 8 bits are ready; the rest is zero padding. *)
 let to_bytes_be ~length n =
   if num_bits n > 8 * length then invalid_arg "Nat.to_bytes_be: overflow";
-  String.init length (fun i ->
-      let byte_idx = length - 1 - i in
-      let v = ref 0 in
-      for b = 7 downto 0 do
-        v := (!v lsl 1) lor if testbit n ((8 * byte_idx) + b) then 1 else 0
-      done;
-      Char.chr !v)
+  let b = Bytes.make length '\x00' in
+  let acc = ref 0 and nacc = ref 0 and pos = ref (length - 1) in
+  Array.iter
+    (fun l ->
+      acc := !acc lor (l lsl !nacc);
+      nacc := !nacc + limb_bits;
+      while !nacc >= 8 do
+        (* Only zero bits can fall past the front: num_bits was checked. *)
+        if !pos >= 0 then Bytes.unsafe_set b !pos (Char.unsafe_chr (!acc land 0xff));
+        decr pos;
+        acc := !acc lsr 8;
+        nacc := !nacc - 8
+      done)
+    n;
+  if !nacc > 0 && !pos >= 0 then Bytes.unsafe_set b !pos (Char.unsafe_chr !acc);
+  Bytes.unsafe_to_string b
 
 let pp fmt n = Format.pp_print_string fmt (to_decimal n)

@@ -3,8 +3,10 @@
     Little-endian limbs in base [2^26] stored in native-int arrays, so every
     limb product fits a 63-bit OCaml [int] with room to accumulate carries.
     This module is the substrate for deriving all field and curve parameters
-    at program start; it is not used in proving hot paths (those use the
-    fixed-width Montgomery representation of {!Zkdet_field}). *)
+    at program start.  Field arithmetic uses the fixed-width Montgomery
+    representation of {!Zkdet_field}; only the byte conversions sit on hot
+    paths (every field element's [to_nat], hence every MSM scalar, and the
+    transcript and codec encodings), so those are single linear passes. *)
 
 type t
 

@@ -13,7 +13,10 @@
 
    The accept loop polls with [Unix.select] at 200 ms so [stop] can
    flip an atomic and join the thread without platform-dependent
-   close-to-wake-accept behaviour. *)
+   close-to-wake-accept behaviour.  Reading a request polls the same way
+   under a per-connection deadline, so a client that connects and sends
+   nothing holds the accept thread for at most [read_deadline_s] and
+   never past [stop]. *)
 
 module Telemetry = Zkdet_telemetry.Telemetry
 module Json = Zkdet_telemetry.Json
@@ -37,6 +40,7 @@ let status_reason = function
   | 400 -> "Bad Request"
   | 404 -> "Not Found"
   | 405 -> "Method Not Allowed"
+  | 408 -> "Request Timeout"
   | 500 -> "Internal Server Error"
   | 503 -> "Service Unavailable"
   | _ -> "Unknown"
@@ -83,9 +87,25 @@ let parse_query q =
 
 type request = { meth : string; path : string; query : (string * string) list }
 
+(* Time a client gets to send its whole header block. *)
+let read_deadline_s = 2.0
+
+(* Wait until [fd] is readable, the deadline passes or the server stops,
+   in 200 ms polls. *)
+let rec wait_readable ~stopped ~deadline fd =
+  let left = deadline -. Unix.gettimeofday () in
+  if left <= 0. || Atomic.get stopped then false
+  else
+    match Unix.select [ fd ] [] [] (Float.min left 0.2) with
+    | _ :: _, _, _ -> true
+    | [], _, _ -> wait_readable ~stopped ~deadline fd
+    | exception Unix.Unix_error (Unix.EINTR, _, _) ->
+      wait_readable ~stopped ~deadline fd
+
 (* Read until the end of the header block (we ignore headers and any
    body: every supported route is a bodyless GET). *)
-let read_request fd : (request, response) result =
+let read_request ~stopped fd : (request, response) result =
+  let deadline = Unix.gettimeofday () +. read_deadline_s in
   let buf = Bytes.create 4096 in
   let acc = Buffer.create 256 in
   let rec fill () =
@@ -104,6 +124,8 @@ let read_request fd : (request, response) result =
         else None
       with
       | Some _ -> Ok contents
+      | None when not (wait_readable ~stopped ~deadline fd) ->
+        Error (text 408 "request timeout\n")
       | None -> (
         match Unix.read fd buf 0 (Bytes.length buf) with
         | 0 -> if Buffer.length acc = 0 then Error (text 400 "empty request\n") else Ok contents
@@ -204,8 +226,11 @@ let routes ?(extra = fun () -> "") () : handler =
 
 (* ---- server lifecycle ---- *)
 
-let handle_connection handler fd =
-  (match read_request fd with
+let handle_connection ~stopped handler fd =
+  (* A client that stops reading cannot stall the answer either. *)
+  (try Unix.setsockopt_float fd Unix.SO_SNDTIMEO read_deadline_s
+   with Unix.Unix_error _ -> ());
+  (match read_request ~stopped fd with
   | Error resp -> ( try write_response fd resp with _ -> ())
   | Ok req -> (
     let resp =
@@ -224,7 +249,7 @@ let accept_loop t handler =
     | [], _, _ -> ()
     | _ :: _, _, _ -> (
       match Unix.accept t.sock with
-      | fd, _ -> handle_connection handler fd
+      | fd, _ -> handle_connection ~stopped:t.stopped handler fd
       | exception Unix.Unix_error _ -> ())
     | exception Unix.Unix_error _ -> ()
   done

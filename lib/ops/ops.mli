@@ -5,7 +5,10 @@
     telemetry and never mutate protocol state, so journals, proof bytes
     and state hashes are byte-identical whether the server runs or not.
     One accept thread serves one request per connection
-    ([Connection: close]); scrape traffic is low-rate by construction. *)
+    ([Connection: close]); scrape traffic is low-rate by construction.
+    A client has 2 s to send its request header (a silent one gets a
+    408), so an idle connection delays other scrapes and {!stop} by at
+    most that long. *)
 
 type response = { status : int; content_type : string; body : string }
 

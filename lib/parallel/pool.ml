@@ -13,6 +13,10 @@
    exact arithmetic on canonical representations (our field elements)
    therefore produce bit-identical results at any [ZKDET_DOMAINS].
 
+   Every construct dispatches its whole range as one batch: no element is
+   computed on the caller ahead of the batch, so a 2-element map really
+   runs its two elements at once and an MSM's chunks all share the pool.
+
    The pool is an orchestration runtime, not a general scheduler: parallel
    constructs are meant to be issued from a single orchestrating domain
    (nested calls from inside a worker run inline, sequentially, which both
@@ -173,23 +177,29 @@ let run_batch rt (tasks : (unit -> unit) array) =
    pool size: chunk c of k covers [lo + c*n/k, lo + (c+1)*n/k). *)
 let default_chunks = 32
 
-let parallel_for_chunks ?(chunks = default_chunks) lo hi body =
+(* Split [lo, hi) into [k = min chunks n] chunks and run [run_chunk c ~lo
+   ~hi] for every chunk index c, all of them dispatched as one batch (none
+   runs ahead of it on the caller). Counted on the calling domain before
+   dispatch: k depends only on the range, so totals match at any pool
+   size. Returns k (0 for an empty range). *)
+let run_chunks ~chunks lo hi (run_chunk : int -> lo:int -> hi:int -> unit) =
   let n = hi - lo in
-  if n > 0 then begin
+  if n <= 0 then 0
+  else begin
     let k = max 1 (min chunks n) in
-    (* Counted on the calling domain before dispatch: k depends only on
-       the range, so totals match at any pool size. *)
     Zkdet_telemetry.Telemetry.count "pool.parallel_calls" 1;
     Zkdet_telemetry.Telemetry.count "pool.chunks" k;
-    let run_chunk c = body ~lo:(lo + c * n / k) ~hi:(lo + ((c + 1) * n / k)) in
+    let run c = run_chunk c ~lo:(lo + (c * n / k)) ~hi:(lo + ((c + 1) * n / k)) in
     if sequential () || k = 1 then
       for c = 0 to k - 1 do
-        run_chunk c
+        run c
       done
-    else
-      run_batch (get_runtime ())
-        (Array.init k (fun c () -> run_chunk c))
+    else run_batch (get_runtime ()) (Array.init k (fun c () -> run c));
+    k
   end
+
+let parallel_for_chunks ?(chunks = default_chunks) lo hi body =
+  ignore (run_chunks ~chunks lo hi (fun _ ~lo ~hi -> body ~lo ~hi))
 
 let parallel_for ?chunks lo hi f =
   parallel_for_chunks ?chunks lo hi (fun ~lo ~hi ->
@@ -197,43 +207,27 @@ let parallel_for ?chunks lo hi f =
         f i
       done)
 
+(* Each chunk fills its own array; the arrays are concatenated in chunk
+   order. Elements stay unboxed (a float result makes float arrays) and
+   no element is computed ahead of the batch. *)
 let parallel_init n f =
-  if n <= 0 then [||]
-  else begin
-    let out = Array.make n (f 0) in
-    parallel_for 1 n (fun i -> out.(i) <- f i);
-    out
-  end
+  let parts = Array.make (max 1 (min default_chunks n)) [||] in
+  ignore
+    (run_chunks ~chunks:default_chunks 0 n (fun c ~lo ~hi ->
+         parts.(c) <- Array.init (hi - lo) (fun j -> f (lo + j))));
+  Array.concat (Array.to_list parts)
 
-let parallel_map_array f a =
-  let n = Array.length a in
-  if n = 0 then [||]
-  else begin
-    let out = Array.make n (f a.(0)) in
-    parallel_for 1 n (fun i -> out.(i) <- f a.(i));
-    out
-  end
+let parallel_map_array f a = parallel_init (Array.length a) (fun i -> f a.(i))
 
 let parallel_reduce ?(chunks = default_chunks) ~neutral ~combine lo hi f =
-  let n = hi - lo in
-  if n <= 0 then neutral
-  else begin
-    let k = max 1 (min chunks n) in
-    Zkdet_telemetry.Telemetry.count "pool.parallel_calls" 1;
-    Zkdet_telemetry.Telemetry.count "pool.chunks" k;
-    let partials = Array.make k neutral in
-    let run_chunk c =
-      let clo = lo + (c * n / k) and chi = lo + ((c + 1) * n / k) in
-      let acc = ref neutral in
-      for i = clo to chi - 1 do
-        acc := combine !acc (f i)
-      done;
-      partials.(c) <- !acc
-    in
-    if sequential () || k = 1 then
-      for c = 0 to k - 1 do
-        run_chunk c
-      done
-    else run_batch (get_runtime ()) (Array.init k (fun c () -> run_chunk c));
-    Array.fold_left combine neutral partials
-  end
+  let partials = Array.make (max 1 (min chunks (hi - lo))) neutral in
+  let k =
+    run_chunks ~chunks lo hi (fun c ~lo ~hi ->
+        let acc = ref neutral in
+        for i = lo to hi - 1 do
+          acc := combine !acc (f i)
+        done;
+        partials.(c) <- !acc)
+  in
+  if k = 0 then neutral
+  else Array.fold_left combine neutral partials

@@ -40,10 +40,11 @@ val parallel_for_chunks :
     Chunk boundaries depend only on the range and [chunks]. *)
 
 val parallel_init : int -> (int -> 'a) -> 'a array
-(** Parallel [Array.init]. [f 0] runs first, on the calling domain. *)
+(** Parallel [Array.init]. All indices are dispatched in one batch (none
+    runs on the caller ahead of it); [f] runs exactly once per index. *)
 
 val parallel_map_array : ('a -> 'b) -> 'a array -> 'b array
-(** Parallel [Array.map]. [f a.(0)] runs first, on the calling domain. *)
+(** Parallel [Array.map], dispatched like {!parallel_init}. *)
 
 val parallel_reduce :
   ?chunks:int ->

@@ -85,6 +85,88 @@ let test_pow () =
     Nat.(to_decimal (pow two 128));
   check_nat "x^0" Nat.one (Nat.pow (Nat.of_int 12345) 0)
 
+(* ---- byte conversions against the previous bitwise code ----
+
+   [of_bytes_be]/[to_bytes_be] pack bytes into 26-bit limbs in one pass.
+   The oracles below are test-local copies of the earlier shift-add and
+   per-bit implementations, which share nothing with the packing loops. *)
+
+let oracle_of_bytes_be s =
+  let acc = ref Nat.zero in
+  String.iter
+    (fun c -> acc := Nat.add (Nat.shift_left !acc 8) (Nat.of_int (Char.code c)))
+    s;
+  !acc
+
+let oracle_to_bytes_be ~length n =
+  if Nat.num_bits n > 8 * length then invalid_arg "Nat.to_bytes_be: overflow";
+  String.init length (fun i ->
+      let byte_idx = length - 1 - i in
+      let v = ref 0 in
+      for b = 7 downto 0 do
+        v := (!v lsl 1) lor if Nat.testbit n ((8 * byte_idx) + b) then 1 else 0
+      done;
+      Char.chr !v)
+
+module G = Zkdet_proptest.Gen
+module P = Zkdet_proptest.Proptest
+
+let bytes_of_list l = String.init (List.length l) (List.nth l)
+
+let gen_uniform_bytes =
+  G.bind (G.int_range 0 40) (fun len ->
+      G.map bytes_of_list (G.list_size (G.return len) (G.map Char.chr (G.int_range 0 255))))
+
+(* Byte [k] (from the least significant end) straddles a limb boundary
+   when a multiple of 26 falls strictly inside its 8 bits. *)
+let straddles k = (8 * k) / Nat.limb_bits <> ((8 * k) + 7) / Nat.limb_bits
+
+let gen_bytes =
+  G.oneof
+    [ gen_uniform_bytes;
+      (* leading zero bytes in front of arbitrary ones *)
+      G.map2
+        (fun z s ->
+          let s = String.make z '\x00' ^ s in
+          String.sub s 0 (min 40 (String.length s)))
+        (G.int_range 1 40) gen_uniform_bytes;
+      G.map (fun len -> String.make len '\xff') (G.int_range 0 40);
+      (* one non-zero byte on a limb boundary, zeros elsewhere *)
+      G.bind (G.int_range 1 40) (fun len ->
+          G.map2
+            (fun k v ->
+              let ks = List.filter straddles (List.init len Fun.id) in
+              let k = if ks = [] then 0 else List.nth ks (k mod List.length ks) in
+              String.init len (fun i ->
+                  if i = len - 1 - k then Char.chr v else '\x00'))
+            (G.int_range 0 39) (G.int_range 1 255)) ]
+
+let print_bytes s =
+  String.concat "" (List.init (String.length s) (fun i -> Printf.sprintf "%02x" (Char.code s.[i])))
+
+let test_of_bytes_vs_oracle () =
+  P.check ~count:500 ~name:"of_bytes_be = shift-add oracle" ~print:print_bytes
+    gen_bytes (fun s ->
+      let got = Nat.of_bytes_be s and want = oracle_of_bytes_be s in
+      Nat.equal got want && Nat.num_limbs got = Nat.num_limbs want)
+
+let test_to_bytes_vs_oracle () =
+  P.check ~count:500 ~name:"to_bytes_be = bitwise oracle" ~print:print_bytes
+    gen_bytes (fun s ->
+      let n = oracle_of_bytes_be s in
+      let tight = (Nat.num_bits n + 7) / 8 in
+      List.for_all
+        (fun length ->
+          String.equal
+            (Nat.to_bytes_be ~length n)
+            (oracle_to_bytes_be ~length n))
+        [ tight; String.length s; String.length s + 3 ]
+      && (tight = 0
+         ||
+         match Nat.to_bytes_be ~length:(tight - 1) n with
+         | _ -> false
+         | exception Invalid_argument _ -> true))
+
 (* Property tests *)
 let gen_nat =
   QCheck.Gen.(
@@ -141,5 +223,7 @@ let () =
           Alcotest.test_case "shifts" `Quick test_shifts;
           Alcotest.test_case "bits" `Quick test_bits;
           Alcotest.test_case "bytes" `Quick test_bytes;
+          Alcotest.test_case "of_bytes_be vs oracle" `Quick test_of_bytes_vs_oracle;
+          Alcotest.test_case "to_bytes_be vs oracle" `Quick test_to_bytes_vs_oracle;
           Alcotest.test_case "pow" `Quick test_pow ] );
       ("nat-properties", props) ]

@@ -108,6 +108,8 @@ let http_request port ~meth path =
   Fun.protect
     ~finally:(fun () -> try Unix.close fd with _ -> ())
     (fun () ->
+      (* A server that never answers fails the test instead of hanging it. *)
+      Unix.setsockopt_float fd Unix.SO_RCVTIMEO 15.0;
       Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
       let req =
         Printf.sprintf "%s %s HTTP/1.1\r\nHost: localhost\r\n\r\n" meth path
@@ -184,6 +186,32 @@ let test_bare_connect_close () =
   let status, body = http_get port "/healthz" in
   Alcotest.(check int) "status" 200 status;
   Alcotest.(check string) "body" "ok\n" body
+
+(* A client that connects and sends nothing (or half a request line)
+   must not block other scrapes: the server gives each connection a read
+   deadline, so /healthz is answered while the idle sockets stay open,
+   and the idle client itself gets a 408. *)
+let test_idle_client () =
+  with_server @@ fun port ->
+  let connect () =
+    let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+    Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+    fd
+  in
+  let idle = connect () and partial = connect () in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun fd -> try Unix.close fd with _ -> ()) [ idle; partial ])
+    (fun () ->
+      ignore (Unix.write_substring partial "GET /hea" 0 8);
+      let status, body = http_get port "/healthz" in
+      Alcotest.(check int) "status" 200 status;
+      Alcotest.(check string) "body" "ok\n" body;
+      Unix.setsockopt_float idle Unix.SO_RCVTIMEO 15.0;
+      let buf = Bytes.create 256 in
+      let n = Unix.read idle buf 0 (Bytes.length buf) in
+      let head = Bytes.sub_string buf 0 (min n 12) in
+      Alcotest.(check string) "idle client timed out" "HTTP/1.1 408" head)
 
 let test_metrics_live_and_conformant () =
   with_server @@ fun port ->
@@ -397,6 +425,8 @@ let () =
         ] );
       ( "http",
         [ Alcotest.test_case "healthz" `Quick test_healthz;
+          Alcotest.test_case "idle client does not block" `Quick
+            test_idle_client;
           Alcotest.test_case "bare connect-and-close" `Quick
             test_bare_connect_close;
           Alcotest.test_case "metrics live and conformant" `Quick

@@ -81,6 +81,83 @@ let test_exception_and_reuse () =
       Alcotest.(check int) "reduce after exception" 2016
         (Pool.parallel_reduce ~neutral:0 ~combine:( + ) 0 64 (fun i -> i)))
 
+(* Every index of a batch is dispatched together: neither construct may
+   compute an element on the caller ahead of the rest.  The two elements
+   of this map each wait (up to 2 s) for the other to start, which only
+   succeeds when both run at once. *)
+let test_no_serial_head () =
+  Pool.with_domains 2 (fun () ->
+      let started = [| Atomic.make false; Atomic.make false |] in
+      let meet i =
+        Atomic.set started.(i) true;
+        let deadline = Unix.gettimeofday () +. 2.0 in
+        while
+          (not (Atomic.get started.(1 - i))) && Unix.gettimeofday () < deadline
+        do
+          Stdlib.Domain.cpu_relax ()
+        done;
+        Atomic.get started.(1 - i)
+      in
+      Alcotest.(check (array bool)) "both elements ran at once" [| true; true |]
+        (Pool.parallel_map_array meet [| 0; 1 |]))
+
+let test_init_once_per_index () =
+  List.iter
+    (fun domains ->
+      Pool.with_domains domains (fun () ->
+          List.iter
+            (fun n ->
+              let calls = Array.init n (fun _ -> Atomic.make 0) in
+              let out =
+                Pool.parallel_init n (fun i ->
+                    Atomic.incr calls.(i);
+                    i * i)
+              in
+              Alcotest.(check (array int))
+                (Printf.sprintf "init %d at %d domains" n domains)
+                (Array.init n (fun i -> i * i))
+                out;
+              Array.iteri
+                (fun i c ->
+                  Alcotest.(check int)
+                    (Printf.sprintf "index %d of %d evaluated once" i n)
+                    1 (Atomic.get c))
+                calls)
+            [ 1; 2; 3; 31; 32; 33; 100 ]))
+    [ 1; 2; 4 ]
+
+let test_index0_exception () =
+  List.iter
+    (fun domains ->
+      Pool.with_domains domains (fun () ->
+          Alcotest.check_raises "init: index 0 raises" (Failure "zero")
+            (fun () ->
+              ignore
+                (Pool.parallel_init 10 (fun i ->
+                     if i = 0 then failwith "zero" else i)));
+          Alcotest.check_raises "map: element 0 raises" (Failure "zero")
+            (fun () ->
+              ignore
+                (Pool.parallel_map_array
+                   (fun i -> if i = 0 then failwith "zero" else i)
+                   [| 0; 1 |]))))
+    [ 1; 2 ]
+
+let test_results_across_domains () =
+  let run () =
+    ( Pool.parallel_init 1000 (fun i -> (i * 7919) mod 1009),
+      Pool.parallel_map_array (fun x -> float_of_int x /. 3.) (Array.init 77 Fun.id),
+      Pool.parallel_map_array (fun s -> s ^ "!") [| "a"; "b" |] )
+  in
+  let r1 = Pool.with_domains 1 run in
+  List.iter
+    (fun d ->
+      Alcotest.(check bool)
+        (Printf.sprintf "1 vs %d domains" d)
+        true
+        (Pool.with_domains d run = r1))
+    [ 2; 4 ]
+
 let test_config () =
   Alcotest.check_raises "0 domains rejected"
     (Invalid_argument "Pool.set_num_domains: need at least 1 domain") (fun () ->
@@ -198,6 +275,13 @@ let () =
           Alcotest.test_case "map/init edge cases" `Quick test_map_and_init_edge_cases;
           Alcotest.test_case "parallel_reduce" `Quick test_parallel_reduce;
           Alcotest.test_case "exceptions and reuse" `Quick test_exception_and_reuse;
+          Alcotest.test_case "no serial head" `Quick test_no_serial_head;
+          Alcotest.test_case "init evaluates each index once" `Quick
+            test_init_once_per_index;
+          Alcotest.test_case "index-0 exception propagates" `Quick
+            test_index0_exception;
+          Alcotest.test_case "results identical at 1/2/4 domains" `Quick
+            test_results_across_domains;
           Alcotest.test_case "configuration" `Quick test_config ] );
       ( "determinism",
         List.map QCheck_alcotest.to_alcotest
