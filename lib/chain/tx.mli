@@ -10,8 +10,9 @@ type 'env t = {
   label : string;
   calldata : string;
   contract : string option;
-      (** explicit telemetry gas-attribution target; [None] falls back to
-          the label prefix before [':'] (deprecated) *)
+      (** telemetry gas-attribution target
+          ([chain.gas.by_contract.<name>]); [None] records no per-contract
+          gas attribution *)
   body : 'env -> unit;
 }
 

@@ -21,10 +21,8 @@ module Telemetry = Zkdet_telemetry.Telemetry
 (* ---- unified scenario configuration ---- *)
 
 (** One configuration record drives every scenario entry point
-    ({!run_cfg}, {!run_batch_cfg}, {!load}).  The legacy optional-label
-    entry points ({!run}, {!run_batch}) are thin wrappers kept for one
-    release; new call sites should build a [Config.t] and pick the
-    fields they care about. *)
+    ({!run_cfg}, {!run_batch_cfg}, {!load}); call sites start from
+    {!Config.default} and set the fields they care about. *)
 module Config = struct
   type t = {
     seed : int;  (** master RNG seed; every address and dataset derives from it *)
@@ -201,11 +199,6 @@ let run_cfg (cfg : Config.t) : outcome =
         { chain; net; proof_ok; delivered; ok = delivered })
   end
 
-(** @deprecated Thin wrapper over {!run_cfg}; will be removed next
-    release.  Build a {!Config.t} instead. *)
-let run ?(seed = 42) ?(n = 8) ?(price = 1_000) () : outcome =
-  run_cfg { Config.default with Config.seed; n; price }
-
 (* ---- batched settlement scenario ---- *)
 
 module Escrow = Zkdet_contracts.Escrow
@@ -317,12 +310,6 @@ let run_batch_cfg (cfg : Config.t) : batch_outcome =
   let batch_ok = settle_ok && locked = batch && settled = batch && recovered = batch in
   if batch_ok then step "batch-complete" ~detail:[ ("batch", string_of_int batch) ];
   { batch_chain = chain; locked; settled; recovered; batch_ok }
-
-(** @deprecated Thin wrapper over {!run_batch_cfg}; will be removed
-    next release.  Build a {!Config.t} instead. *)
-let run_batch ?(seed = 42) ?(batch = 4) ?(n = 8) ?(price = 1_000) () :
-    batch_outcome =
-  run_batch_cfg { Config.default with Config.seed; batch; n; price }
 
 (* ---- sustained marketplace load (mempool + parallel blocks) ---- *)
 

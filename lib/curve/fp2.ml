@@ -39,7 +39,7 @@ let inv a =
   let ninv = Fp.inv norm in
   { c0 = Fp.mul a.c0 ninv; c1 = Fp.neg (Fp.mul a.c1 ninv) }
 
-(* Mirrors Montgomery.batch_inv0 over the extension: one Fp2 inversion
+(* Mirrors Field_derived.batch_inv0 over the extension: one Fp2 inversion
    for the whole batch, zero entries skipped and passed through as zero. *)
 let batch_inv0 (xs : t array) : t array =
   let n = Array.length xs in

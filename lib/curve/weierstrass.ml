@@ -22,8 +22,8 @@ module type CURVE_FIELD = sig
   val inv : t -> t
 
   (** Flat kernel buffers (see {!Zkdet_field.Field_intf.CORE}): [n]
-      mutable cells addressed by index, contiguous for the unboxed field
-      backend.  Every operand is a [(buf, index)] pair and destinations
+      mutable cells addressed by index, contiguous for the BN254 base
+      field.  Every operand is a [(buf, index)] pair and destinations
       may alias sources, so the batch-affine MSM inner loops allocate
       nothing per field operation. *)
 

@@ -1,18 +1,10 @@
 (* The BN254 (alt_bn128) curve parameters used by Circom/Snarkjs and by the
    Ethereum pairing precompiles — the setting the ZKDET paper evaluates in.
 
-   Both field backends are instantiated here and one is picked at startup
-   from ZKDET_FIELD_BACKEND:
-
-   - "unboxed64" (default): flat 4x64-bit limbs in Bytes, C/int64 kernels
-     (see Fp64).
-   - "limb26": boxed base-2^26 native-int limb arrays (see Montgomery),
-     kept as the differential-testing oracle and portability fallback.
-
-   Wire encodings are canonical big-endian integers in both cases, so the
-   choice never changes proof bytes, state hashes, or golden vectors.  The
-   non-default instantiations stay exported (Fp_limb26 & co.) for the
-   differential tests and the field microbenchmarks. *)
+   Both fields are Fp64 instances: flat 4x64-bit limbs with the C
+   Montgomery kernel.  Wire encodings are canonical big-endian integers,
+   independent of the limb layout.  The instances stay exported as
+   Fp_unboxed and Fr_unboxed for the field tests and microbenchmarks. *)
 
 module Nat = Zkdet_num.Nat
 
@@ -25,88 +17,30 @@ let fp_modulus_decimal =
 let fr_modulus_decimal =
   "21888242871839275222246405745257275088548364400416034343698204186575808495617"
 
-module Fp_limb26 = Montgomery.Make (struct
-  let modulus_decimal = fp_modulus_decimal
-end)
-
 module Fp_unboxed = Fp64.Make (struct
   let modulus_decimal = fp_modulus_decimal
-end)
-
-module Fr_limb26 = Montgomery.Make (struct
-  let modulus_decimal = fr_modulus_decimal
 end)
 
 module Fr_unboxed = Fp64.Make (struct
   let modulus_decimal = fr_modulus_decimal
 end)
 
-let backend_env_var = "ZKDET_FIELD_BACKEND"
-
-type backend = Unboxed64 | Limb26
-
-let backend =
-  match Sys.getenv_opt backend_env_var with
-  | None | Some "" | Some "unboxed64" -> Unboxed64
-  | Some "limb26" -> Limb26
-  | Some other ->
-      invalid_arg
-        (Printf.sprintf
-           "%s: unknown field backend %S (expected \"unboxed64\" or \
-            \"limb26\")"
-           backend_env_var other)
-
-let backend_name =
-  match backend with Unboxed64 -> "unboxed64" | Limb26 -> "limb26"
+(* The name of the one field implementation, as stamped into benchmark
+   host fingerprints. *)
+let backend_name = "unboxed64"
 
 (** Base field of the curve (coordinates live here). *)
-module Fp : Field_intf.S =
-  (val match backend with
-       | Unboxed64 -> (module Fp_unboxed : Field_intf.S)
-       | Limb26 -> (module Fp_limb26 : Field_intf.S))
+module Fp : Field_intf.S = Fp_unboxed
 
 (** Scalar field (circuit values, polynomial coefficients live here). *)
 module Fr = struct
-  include
-    (val match backend with
-         | Unboxed64 -> (module Fr_unboxed : Field_intf.S)
-         | Limb26 -> (module Fr_limb26 : Field_intf.S))
-
-  let modulus_nat = Nat.of_decimal fr_modulus_decimal
-
-  (* r - 1 = 2^two_adicity * odd. BN254's scalar field has two_adicity 28,
-     which bounds FFT domains at 2^28 — the same bound the paper quotes for
-     the Perpetual Powers of Tau ("circuits with up to 2^28 constraints"). *)
-  let two_adicity, odd_part =
-    let rec go s q =
-      if Nat.testbit q 0 then (s, q) else go (s + 1) (Nat.shift_right q 1)
-    in
-    go 0 (Nat.sub modulus_nat Nat.one)
-
-  (* Generator of the order-2^two_adicity subgroup: c^odd_part for a c that
-     is a non-square (so the order is exactly 2^two_adicity). Found by
-     search, verified by squaring down. *)
-  let two_adic_root =
-    let rec find c =
-      let w = pow_nat (of_int c) odd_part in
-      let rec check_order acc k =
-        if k = two_adicity - 1 then not (is_one acc)
-        else check_order (sqr acc) (k + 1)
-      in
-      (* acc after two_adicity-1 squarings must be -1 (not 1). *)
-      let rec square_down acc k =
-        if k = 0 then acc else square_down (sqr acc) (k - 1)
-      in
-      let minus_one_candidate = square_down w (two_adicity - 1) in
-      ignore check_order;
-      if (not (is_one minus_one_candidate)) && is_one (sqr minus_one_candidate)
-      then w
-      else find (c + 1)
-    in
-    find 2
+  include (Fr_unboxed : Field_intf.S)
 
   (** [root_of_unity ~log2size] is a primitive [2^log2size]-th root of
-      unity. Raises [Invalid_argument] beyond the field's 2-adicity. *)
+      unity. Raises [Invalid_argument] beyond the field's 2-adicity, which
+      is 28 for BN254's scalar field: FFT domains stop at 2^28, the bound
+      the paper quotes for the Perpetual Powers of Tau ("circuits with up
+      to 2^28 constraints"). *)
   let root_of_unity ~log2size =
     if log2size < 0 || log2size > two_adicity then
       invalid_arg "Bn254.Fr.root_of_unity: log2size out of range";

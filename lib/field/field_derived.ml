@@ -1,13 +1,9 @@
-(* Backend-independent field operations, derived once from Field_intf.CORE.
-
-   Both field backends (the boxed 26-bit-limb oracle and the unboxed
-   4x64-bit default) include this functor, so every derived operation runs
-   the *same algorithm* on both: exponentiation chains, Tonelli-Shanks
-   square roots (including the non-residue search), batch inversion, byte
-   codecs, and crucially the Random.State consumption pattern of [random].
-   That is what makes proof bytes and golden vectors byte-identical across
-   ZKDET_FIELD_BACKEND values — determinism lives here, not in the limb
-   representation. *)
+(* Representation-independent field operations, derived once from
+   Field_intf.CORE: exponentiation chains, Tonelli-Shanks square roots
+   (including the non-residue search), batch inversion, byte codecs, and
+   the Random.State consumption pattern of [random].  Proof bytes and
+   golden vectors depend on these algorithms, not on the limb layout, so
+   they live here rather than next to the kernel. *)
 
 module Nat = Zkdet_num.Nat
 
@@ -24,7 +20,6 @@ module Make (C : Field_intf.CORE) = struct
   let to_string a = Nat.to_decimal (to_nat a)
   let of_bytes_be s = of_nat (Nat.of_bytes_be s)
   let to_bytes_be a = Nat.to_bytes_be ~length:num_bytes (to_nat a)
-  let hash_fold = to_bytes_be
 
   let of_bytes_be_canonical s =
     if String.length s <> num_bytes then
@@ -136,28 +131,32 @@ module Make (C : Field_intf.CORE) = struct
 
   let is_square a = is_zero a || is_one (pow_nat a p_minus_1_half)
 
-  (* Tonelli-Shanks. s and q with p-1 = 2^s * q derived once. *)
-  let ts_s, ts_q =
+  (* p - 1 = 2^two_adicity * odd_part. *)
+  let two_adicity, odd_part =
     let rec go s q =
       if Nat.testbit q 0 then (s, q) else go (s + 1) (Nat.shift_right q 1)
     in
     go 0 (Nat.sub modulus Nat.one)
 
-  let ts_nonresidue =
+  (* c^odd_part for the least non-square c >= 2: c^((p-1)/2) = -1, so
+     its order is exactly 2^two_adicity. *)
+  let two_adic_root =
     let rec find c =
       let x = of_int c in
-      if (not (is_zero x)) && not (is_square x) then x else find (c + 1)
+      if (not (is_zero x)) && not (is_square x) then pow_nat x odd_part
+      else find (c + 1)
     in
     find 2
 
+  (* Tonelli-Shanks. *)
   let sqrt a =
     if is_zero a then Some zero
     else if not (is_square a) then None
     else begin
-      let m = ref ts_s in
-      let c = ref (pow_nat ts_nonresidue ts_q) in
-      let t = ref (pow_nat a ts_q) in
-      let r = ref (pow_nat a (Nat.shift_right (Nat.add ts_q Nat.one) 1)) in
+      let m = ref two_adicity in
+      let c = ref two_adic_root in
+      let t = ref (pow_nat a odd_part) in
+      let r = ref (pow_nat a (Nat.shift_right (Nat.add odd_part Nat.one) 1)) in
       let rec loop () =
         if is_one !t then Some !r
         else begin
@@ -183,8 +182,8 @@ module Make (C : Field_intf.CORE) = struct
     end
 
   (* One draw per 26-bit Nat limb with rejection sampling.  The draw width
-     is tied to Nat.limb_bits, NOT to the backend's limb size, so the
-     Random.State stream is consumed identically under every backend. *)
+     is tied to Nat.limb_bits, NOT to the kernel's 64-bit limbs: that is
+     the stream every seeded SRS and proof has been made from. *)
   let random st =
     let limb_bits = Nat.limb_bits in
     let nlimbs = (num_bits + limb_bits - 1) / limb_bits in

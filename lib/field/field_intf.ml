@@ -1,30 +1,24 @@
 (** Signatures of prime fields and their kernel buffer layer.
 
-    Two backends implement {!S}:
-
-    - {!Montgomery.Make}: boxed base-2^26 native-int limb arrays (10 limbs
-      per BN254 element, one heap array each).  Portable, allocation-heavy;
-      kept as the differential-testing oracle and selected with
-      [ZKDET_FIELD_BACKEND=limb26].
-    - {!Fp64.Make}: flat 4x64-bit limbs packed little-endian into 32-byte
-      [Bytes], with unrolled 4-limb CIOS Montgomery multiplication in a C
-      stub (pure-OCaml int64 fallback).  The default backend.
+    {!Fp64.Make} implements {!S}: flat 4x64-bit limbs packed little-endian
+    into 32-byte [Bytes], with unrolled 4-limb CIOS Montgomery
+    multiplication in a C stub.  The field tests check it against a
+    reference field written directly over {!Zkdet_num.Nat}.
 
     Everything above the field layer is representation-agnostic: wire
     encodings go through [to_bytes_be]/[of_bytes_be_canonical] (canonical
     big-endian integers), so proof bytes, state hashes and golden vectors
-    are byte-identical under either backend. *)
+    do not depend on the limb layout. *)
 
 module type MODULUS = sig
   val modulus_decimal : string
 end
 
-(** The backend-specific core a field implementation must provide.  All
-    remaining operations of {!S} are derived uniformly by
-    {!Field_derived.Make}, which guarantees the two backends agree not just
-    on values but on algorithms (inversion chains, Tonelli-Shanks paths,
-    and — critically — the [Random.State] consumption pattern of
-    [random], which blinding factors and SRS generation depend on). *)
+(** The representation-specific core a field implementation must provide.
+    All remaining operations of {!S} (inversion chains, Tonelli-Shanks,
+    codecs and the [Random.State] consumption pattern of [random], which
+    blinding factors and SRS generation depend on) are derived from it by
+    {!Field_derived.Make}. *)
 module type CORE = sig
   type t
 
@@ -51,12 +45,11 @@ module type CORE = sig
   (** {2 Flat kernel buffers}
 
       [buf] is the primary storage story for batch inner loops: a flat,
-      contiguous block of [n] field elements addressed by index.  For the
-      unboxed backend this is a single [Bytes] of [n * 32] bytes (cache
-      friendly, no per-element boxing); for the limb26 oracle it is an
-      array of distinct limb arrays.  Every operand of every operation is
-      a [(buf, index)] pair, so no op allocates or exposes an aliasing
-      intermediate value. *)
+      contiguous block of [n] field elements addressed by index — a
+      single [Bytes] of [n * 32] bytes (cache friendly, no per-element
+      boxing).  Every operand of every operation is a [(buf, index)]
+      pair, so no op allocates or exposes an aliasing intermediate
+      value. *)
 
   type buf
 
@@ -120,7 +113,8 @@ module type S = sig
   val codec : t Zkdet_codec.Codec.t
   (** Canonical wire codec: fixed-width big-endian via
       {!to_bytes_be} / {!of_bytes_be_canonical}.  Deliberately
-      representation-independent: both backends emit identical bytes. *)
+      representation-independent: the bytes do not depend on the limb
+      layout. *)
 
   val is_one : t -> bool
 
@@ -150,18 +144,21 @@ module type S = sig
   val is_square : t -> bool
   val sqrt : t -> t option
 
+  val two_adicity : int
+  (** Largest [s] with [2^s] dividing [modulus - 1]. *)
+
+  val two_adic_root : t
+  (** A generator of the multiplicative subgroup of order
+      [2^two_adicity]. *)
+
   val random : Random.State.t -> t
   (** Uniform field element.  The [Random.State] consumption pattern is
-      part of the interface contract: it is identical across backends
-      (one draw per 26-bit limb with rejection sampling), so seeded
-      randomness — SRS generation, proof blinding — produces the same
-      stream regardless of [ZKDET_FIELD_BACKEND]. *)
+      part of the interface contract (one draw per 26-bit {!Zkdet_num.Nat}
+      limb with rejection sampling): seeded randomness — SRS generation,
+      proof blinding — depends on it, and the field tests pin a digest of
+      the stream. *)
 
   val pp : Format.formatter -> t -> unit
 
-  (* Exposed for hashing/serialization layers. *)
   val compare : t -> t -> int
-  val hash_fold : t -> string
-  (** A canonical byte string for transcript absorption (same as
-      [to_bytes_be]). *)
 end

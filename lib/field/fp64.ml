@@ -1,4 +1,4 @@
-(* Unboxed prime field backend: flat 4x64-bit limbs in 32-byte Bytes.
+(* Prime fields of at most 254 bits: flat 4x64-bit limbs in 32-byte Bytes.
 
    An element is a Bytes.t of exactly 32 bytes: four little-endian uint64
    limbs, value < p, Montgomery form (x*R mod p, R = 2^256).  A kernel
@@ -7,21 +7,16 @@
    reduction) walk a single cache-friendly allocation instead of chasing
    one heap array per element.
 
-   Arithmetic runs in a C stub (fp64_stubs.c, unsigned __int128 CIOS) by
-   default; a pure-OCaml int64 kernel implementing the identical algorithm
-   is selected with ZKDET_FIELD_KERNEL=ocaml (and automatically on
-   big-endian hosts, where the C stub's raw uint64 loads would disagree
-   with the little-endian layout).  Montgomery constants are derived from
-   the decimal modulus with Zkdet_num.Nat — no transcribed magic numbers.
+   Arithmetic runs in the C stubs of fp64_stubs.c (unsigned __int128
+   CIOS), which read and write the limbs little-endian on any host.
+   Montgomery constants are derived from the decimal modulus with
+   Zkdet_num.Nat — no transcribed magic numbers.  test_field checks the
+   kernel against a reference field written directly over Nat.
 
    Derived operations (inv, sqrt, random, codecs, ...) come from
-   Field_derived, shared verbatim with the 26-bit-limb oracle backend. *)
+   Field_derived. *)
 
 module Nat = Zkdet_num.Nat
-
-module type KERNEL = sig
-  val use_c : bool
-end
 
 (* The C entry points take (prm, dst, doff, a, aoff, b, boff) with byte
    offsets; prm packs p[0..3] and n0 = -p^-1 mod 2^64.  [@@noalloc] is
@@ -46,8 +41,7 @@ external c_butterfly :
   = "zkdet_fp64_butterfly_bc" "zkdet_fp64_butterfly"
 [@@noalloc]
 
-module Make_kernel (K : KERNEL) (M : Field_intf.MODULUS) : Field_intf.S =
-struct
+module Make (M : Field_intf.MODULUS) : Field_intf.S = struct
   module Core = struct
     let modulus = Nat.of_decimal M.modulus_decimal
     let num_bits = Nat.num_bits modulus
@@ -63,21 +57,13 @@ struct
 
     let el_bytes = 32
 
-    (* Little-endian 32-byte image of a Nat < 2^256. *)
+    (* Little-endian 32-byte image of a Nat < 2^256, and back. *)
     let le32_of_nat n =
       let be = Nat.to_bytes_be ~length:el_bytes n in
-      let b = Bytes.create el_bytes in
-      for i = 0 to el_bytes - 1 do
-        Bytes.set b i be.[el_bytes - 1 - i]
-      done;
-      b
+      Bytes.init el_bytes (fun i -> be.[el_bytes - 1 - i])
 
-    let nat_of_le32 b off =
-      let be = Bytes.create el_bytes in
-      for i = 0 to el_bytes - 1 do
-        Bytes.set be i (Bytes.get b (off + el_bytes - 1 - i))
-      done;
-      Nat.of_bytes_be (Bytes.to_string be)
+    let nat_of_le32 b =
+      Nat.of_bytes_be (String.init el_bytes (fun i -> Bytes.get b (el_bytes - 1 - i)))
 
     let p_bytes = le32_of_nat modulus
     let r2_bytes =
@@ -101,164 +87,10 @@ struct
       Bytes.set_int64_le b el_bytes n0;
       b
 
-    let pl0 = Bytes.get_int64_le p_bytes 0
-    let pl1 = Bytes.get_int64_le p_bytes 8
-    let pl2 = Bytes.get_int64_le p_bytes 16
-    let pl3 = Bytes.get_int64_le p_bytes 24
-
-    (* ------------------------------------------------------------------ *)
-    (* Pure-OCaml int64 kernel (correctness fallback / differential peer). *)
-
-    let mask32 = 0xFFFFFFFFL
-
-    (* High 64 bits of the unsigned 64x64 product. *)
-    let[@inline] umul_hi a b =
-      let open Int64 in
-      let al = logand a mask32 and ah = shift_right_logical a 32 in
-      let bl = logand b mask32 and bh = shift_right_logical b 32 in
-      let ll = mul al bl in
-      let lh = mul al bh in
-      let hl = mul ah bl in
-      let hh = mul ah bh in
-      let mid =
-        add
-          (add (shift_right_logical ll 32) (logand lh mask32))
-          (logand hl mask32)
-      in
-      add
-        (add hh (shift_right_logical lh 32))
-        (add (shift_right_logical hl 32) (shift_right_logical mid 32))
-
-    (* r + a*b as (lo, hi). *)
-    let[@inline] mac r a b =
-      let lo = Int64.mul a b in
-      let hi = umul_hi a b in
-      let s = Int64.add r lo in
-      let hi = if Int64.unsigned_compare s lo < 0 then Int64.succ hi else hi in
-      (s, hi)
-
-    (* r + a*b + c as (lo, hi). *)
-    let[@inline] macc r a b c =
-      let lo = Int64.mul a b in
-      let hi = umul_hi a b in
-      let s = Int64.add r lo in
-      let hi = if Int64.unsigned_compare s lo < 0 then Int64.succ hi else hi in
-      let s2 = Int64.add s c in
-      let hi = if Int64.unsigned_compare s2 s < 0 then Int64.succ hi else hi in
-      (s2, hi)
-
-    (* (a - b - borrow_in) with borrow_in/out in {0,1}. *)
-    let[@inline] sbb a b borrow =
-      let d = Int64.sub a b in
-      let bo1 = if Int64.unsigned_compare a b < 0 then 1L else 0L in
-      let d2 = Int64.sub d borrow in
-      let bo2 = if Int64.unsigned_compare d borrow < 0 then 1L else 0L in
-      (d2, Int64.add bo1 bo2)
-
-    let[@inline] adc a b carry =
-      let s = Int64.add a b in
-      let c1 = if Int64.unsigned_compare s b < 0 then 1L else 0L in
-      let s2 = Int64.add s carry in
-      let c2 = if Int64.unsigned_compare s2 carry < 0 then 1L else 0L in
-      (s2, Int64.add c1 c2)
-
-    let[@inline] g b off i = Bytes.get_int64_le b (off + (8 * i))
-    let[@inline] s b off i v = Bytes.set_int64_le b (off + (8 * i)) v
-
-    (* Store (r0..r3) minus p if >= p, else as-is. *)
-    let store_reduced dst doff r0 r1 r2 r3 =
-      let s0, bo = sbb r0 pl0 0L in
-      let s1, bo = sbb r1 pl1 bo in
-      let s2, bo = sbb r2 pl2 bo in
-      let s3, bo = sbb r3 pl3 bo in
-      if Int64.equal bo 0L then begin
-        s dst doff 0 s0; s dst doff 1 s1; s dst doff 2 s2; s dst doff 3 s3
-      end
-      else begin
-        s dst doff 0 r0; s dst doff 1 r1; s dst doff 2 r2; s dst doff 3 r3
-      end
-
-    (* CIOS with interleaved no-carry reduction; same structure as the C
-       kernel in fp64_stubs.c. *)
-    let ml_mul_row r0 r1 r2 r3 ai b0 b1 b2 b3 =
-      let t0, c = mac r0 ai b0 in
-      let t1, c = macc r1 ai b1 c in
-      let t2, c = macc r2 ai b2 c in
-      let t3, c = macc r3 ai b3 c in
-      let t4 = c in
-      let m = Int64.mul t0 n0 in
-      let _, c = mac t0 m pl0 in
-      let r0, c = macc t1 m pl1 c in
-      let r1, c = macc t2 m pl2 c in
-      let r2, c = macc t3 m pl3 c in
-      let r3 = Int64.add t4 c in
-      (r0, r1, r2, r3)
-
-    let ml_mul dst doff a aoff b boff =
-      let b0 = g b boff 0 and b1 = g b boff 1
-      and b2 = g b boff 2 and b3 = g b boff 3 in
-      let r0, r1, r2, r3 =
-        ml_mul_row 0L 0L 0L 0L (g a aoff 0) b0 b1 b2 b3
-      in
-      let r0, r1, r2, r3 = ml_mul_row r0 r1 r2 r3 (g a aoff 1) b0 b1 b2 b3 in
-      let r0, r1, r2, r3 = ml_mul_row r0 r1 r2 r3 (g a aoff 2) b0 b1 b2 b3 in
-      let r0, r1, r2, r3 = ml_mul_row r0 r1 r2 r3 (g a aoff 3) b0 b1 b2 b3 in
-      store_reduced dst doff r0 r1 r2 r3
-
-    let ml_add dst doff a aoff b boff =
-      let r0, c = adc (g a aoff 0) (g b boff 0) 0L in
-      let r1, c = adc (g a aoff 1) (g b boff 1) c in
-      let r2, c = adc (g a aoff 2) (g b boff 2) c in
-      let r3, _ = adc (g a aoff 3) (g b boff 3) c in
-      (* a + b < 2p < 2^255: no carry out of the top limb. *)
-      store_reduced dst doff r0 r1 r2 r3
-
-    let ml_sub dst doff a aoff b boff =
-      let r0, bo = sbb (g a aoff 0) (g b boff 0) 0L in
-      let r1, bo = sbb (g a aoff 1) (g b boff 1) bo in
-      let r2, bo = sbb (g a aoff 2) (g b boff 2) bo in
-      let r3, bo = sbb (g a aoff 3) (g b boff 3) bo in
-      if Int64.equal bo 0L then begin
-        s dst doff 0 r0; s dst doff 1 r1; s dst doff 2 r2; s dst doff 3 r3
-      end
-      else begin
-        let r0, c = adc r0 pl0 0L in
-        let r1, c = adc r1 pl1 c in
-        let r2, c = adc r2 pl2 c in
-        let r3, _ = adc r3 pl3 c in
-        s dst doff 0 r0; s dst doff 1 r1; s dst doff 2 r2; s dst doff 3 r3
-      end
-
-    (* ------------------------------------------------------------------ *)
-
-    (* The C stubs load limbs with native-endian uint64 reads; on a
-       big-endian host that would disagree with the little-endian layout,
-       so fall back to the explicit-endianness OCaml kernel there. *)
-    let use_c = K.use_c && not Sys.big_endian
-
-    let mul_off : Bytes.t -> int -> Bytes.t -> int -> Bytes.t -> int -> unit =
-      if use_c then fun dst doff a aoff b boff ->
-        c_mul prm dst doff a aoff b boff
-      else ml_mul
-
-    let add_off =
-      if use_c then fun dst doff a aoff b boff ->
-        c_add prm dst doff a aoff b boff
-      else ml_add
-
-    let sub_off =
-      if use_c then fun dst doff a aoff b boff ->
-        c_sub prm dst doff a aoff b boff
-      else ml_sub
-
-    let butterfly_off : Bytes.t -> int -> int -> Bytes.t -> int -> unit =
-      if use_c then fun b ioff joff w woff -> c_butterfly prm b ioff joff w woff
-      else fun b ioff joff w woff ->
-        (* v = b[j]*w in a temp; b[j] <- u - v before u is overwritten. *)
-        let v = Bytes.create el_bytes in
-        ml_mul v 0 b joff w woff;
-        ml_sub b joff b ioff v 0;
-        ml_add b ioff b ioff v 0
+    let mul_off dst doff a aoff b boff = c_mul prm dst doff a aoff b boff
+    let add_off dst doff a aoff b boff = c_add prm dst doff a aoff b boff
+    let sub_off dst doff a aoff b boff = c_sub prm dst doff a aoff b boff
+    let butterfly_off b ioff joff w woff = c_butterfly prm b ioff joff w woff
 
     type t = Bytes.t (* exactly 32 bytes, value < p, Montgomery form *)
 
@@ -278,7 +110,7 @@ struct
     let to_nat (a : t) =
       let std = Bytes.create el_bytes in
       mul_off std 0 a 0 one_std 0;
-      nat_of_le32 std 0
+      nat_of_le32 std
 
     let one = of_nat Nat.one
 
@@ -368,12 +200,3 @@ struct
   include Core
   include Field_derived.Make (Core)
 end
-
-(* ZKDET_FIELD_KERNEL=ocaml forces the pure-OCaml int64 kernel; anything
-   else (default) uses the C stub where the platform allows it. *)
-module Make (M : Field_intf.MODULUS) = Make_kernel (struct
-  let use_c =
-    match Sys.getenv_opt "ZKDET_FIELD_KERNEL" with
-    | Some ("ocaml" | "ml") -> false
-    | _ -> true
-end) (M)

@@ -1,10 +1,12 @@
-/* Unrolled 4x64-bit Montgomery field kernels for the unboxed Fp backend.
+/* Unrolled 4x64-bit Montgomery kernels for the BN254 fields (Fp64).
  *
  * Elements are 32-byte slices of an OCaml Bytes value: 4 little-endian
  * uint64 limbs, value < p, Montgomery form (x*R mod p with R = 2^256).
  * OCaml Bytes data is word-aligned and offsets are multiples of 32, so
  * uint64_t loads/stores at (base + offset) are aligned.  Limbs are read
- * with unaligned-safe memcpy anyway to keep the stubs strictly portable.
+ * with unaligned-safe memcpy anyway to keep the stubs strictly portable,
+ * and byte-swapped on big-endian hosts so the layout is little-endian
+ * everywhere (the OCaml side reads limbs with Bytes.get_int64_le).
  *
  * The parameter block prm is a 40-byte Bytes: p[0..3] then n0 = -p^-1
  * mod 2^64.  All entry points are [@@noalloc] on the OCaml side: nothing
@@ -25,11 +27,17 @@ static inline uint64_t ld(const unsigned char *p, int i)
 {
   uint64_t x;
   memcpy(&x, p + 8 * i, 8);
+#if __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
+  x = __builtin_bswap64(x);
+#endif
   return x;
 }
 
 static inline void st(unsigned char *p, int i, uint64_t x)
 {
+#if __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
+  x = __builtin_bswap64(x);
+#endif
   memcpy(p + 8 * i, &x, 8);
 }
 

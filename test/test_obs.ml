@@ -105,7 +105,7 @@ let test_journal_tamper_detected () =
 
 let test_single_trace_and_tree () =
   with_journal "obs_exchange.zjnl" (fun path ->
-      let o = Scenario.run ~seed:11 ~n:4 () in
+      let o = Scenario.(run_cfg { Config.default with seed = 11; n = 4 }) in
       Alcotest.(check bool) "exchange ok" true o.Scenario.ok;
       Obs.close ();
       let entries = entries_of path in
@@ -135,7 +135,7 @@ let test_single_trace_and_tree () =
 
 let test_audit_joins_chain () =
   with_journal "obs_join.zjnl" (fun path ->
-      let o = Scenario.run ~seed:12 ~n:4 () in
+      let o = Scenario.(run_cfg { Config.default with seed = 12; n = 4 }) in
       Obs.close ();
       let entries = entries_of path in
       let facts =
@@ -171,7 +171,7 @@ let test_byte_identical_journals () =
   let run_once name domains =
     with_journal name (fun path ->
         Pool.with_domains domains (fun () ->
-            ignore (Scenario.run ~seed:21 ~n:4 ()));
+            ignore (Scenario.(run_cfg { Config.default with seed = 21; n = 4 })));
         Obs.close ();
         read_file path)
   in
